@@ -236,12 +236,6 @@ def _simulate_cell(payload: dict) -> tuple[Cell, object]:
     :mod:`repro.experiments.faults`) fires here, before the simulation.
     """
     spec = RunSpec.from_dict(payload["spec"])
-    traces = payload.get("traces")
-    if traces:
-        # Parent-exported shared-memory trace buffers: register them so
-        # this worker replays instead of regenerating (lazy attach on
-        # first use; a vanished segment just falls back to generation).
-        get_trace_cache().attach_shared(traces)
     heartbeat = payload.get("heartbeat")
     if heartbeat:
         from repro.service.durability import HEARTBEAT_IDLE, beat
@@ -296,9 +290,6 @@ class ParallelRunner(ExperimentRunner):
             # two stores): a later run replays streams from disk even
             # when every result cell misses (e.g. a new scheme).
             get_trace_cache().set_cache_dir(cache_dir)
-        #: ``digest -> shared-memory name`` shipped with worker payloads
-        #: while a fan-out is running (empty otherwise).
-        self._trace_map: dict[str, str] = {}
         self.timeout = timeout
         self.retries = retries
         self.backoff = backoff
@@ -319,10 +310,7 @@ class ParallelRunner(ExperimentRunner):
         return self.spec(codes, scheme).cache_key()
 
     def _payload(self, cell: Cell) -> dict:
-        payload = {"spec": self.spec(*cell).to_dict()}
-        if self._trace_map:
-            payload["traces"] = self._trace_map
-        return payload
+        return {"spec": self.spec(*cell).to_dict()}
 
     def _store(self, cell: Cell, result: SystemResult) -> None:
         self._results[cell] = result
@@ -412,13 +400,14 @@ class ParallelRunner(ExperimentRunner):
             self._write_metrics(report)
             return report
 
-        trace_cache = get_trace_cache() if env_enabled() else None
-        if trace_cache is not None:
+        if env_enabled():
             # Materialize each distinct mix's record streams once in the
-            # parent (disk-backed streams load instead of generating) so
-            # N workers replay shared buffers instead of generating N
-            # copies.  Streams dedup by content digest, so the cross-size
-            # and cross-scheme cells of a sweep all map to one buffer.
+            # parent (disk-backed streams load instead of generating); the
+            # pool forks afterwards, so N workers replay the inherited
+            # buffers instead of generating N copies.  Streams dedup by
+            # content digest, so the cross-size and cross-scheme cells of
+            # a sweep all map to one buffer.
+            trace_cache = get_trace_cache()
             for codes in dict.fromkeys(cell[0] for cell in missing):
                 trace_cache.materialize_for_run(
                     make_workloads(codes, self.scale),
@@ -427,8 +416,6 @@ class ParallelRunner(ExperimentRunner):
                     self.warmup,
                 )
             trace_cache.persist()
-            if self.jobs > 1:
-                self._trace_map = trace_cache.export_shared()
 
         supervisor = Supervisor(
             _simulate_cell,
@@ -447,9 +434,6 @@ class ParallelRunner(ExperimentRunner):
         try:
             supervisor.run(missing)
         finally:
-            self._trace_map = {}
-            if trace_cache is not None:
-                trace_cache.close_shared()
             # Interrupted or failed sweeps still leave their metrics, like
             # the JSON report the supervisor writes on the same paths.
             self._write_metrics(report)

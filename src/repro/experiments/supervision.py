@@ -41,6 +41,7 @@ serial runner.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import shutil
 import signal
@@ -58,6 +59,14 @@ from repro.experiments.faults import FaultPlan
 
 #: Poll interval for the completion/timeout/interrupt checks (seconds).
 _TICK = 0.05
+
+#: Start method of worker pools: ``fork`` where available, so workers
+#: inherit the parent's trace memo; the platform default otherwise.
+_POOL_CONTEXT = (
+    multiprocessing.get_context("fork")
+    if "fork" in multiprocessing.get_all_start_methods()
+    else multiprocessing.get_context()
+)
 
 #: Sentinel distinguishing "no handler installed" from SIG_DFL/None.
 _UNSET = object()
@@ -631,8 +640,13 @@ class Supervisor:
         Heartbeat files are cleared first — pids can be reused across
         pool generations, and a stale "busy" beat from a dead worker
         must never condemn its successor.
+
+        Workers are forked where the platform can: callers materialize
+        trace buffers before the pool starts, and forked workers inherit
+        them (see :mod:`repro.workloads.trace_cache`).  Elsewhere the
+        default start method runs and workers regenerate their traces.
         """
-        pool = ProcessPoolExecutor(max_workers=self.jobs)
+        pool = ProcessPoolExecutor(max_workers=self.jobs, mp_context=_POOL_CONTEXT)
         if self._hb_dir is not None:
             from repro.service.durability import WorkerWatchdog, clear_heartbeats
 

@@ -272,13 +272,6 @@ def service_to_prometheus(stats) -> str:
         "Stale result-cache tmp files swept at cache open.",
     )
     _sample(lines, "service_cache_tmp_swept_total", data.get("cache_tmp_swept", 0))
-    _metric(
-        lines,
-        "service_shm_swept_total",
-        "counter",
-        "Orphaned trace shared-memory segments swept at scheduler start.",
-    )
-    _sample(lines, "service_shm_swept_total", data.get("shm_swept", 0))
 
     _metric(
         lines,

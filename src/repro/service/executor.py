@@ -134,12 +134,6 @@ class Executor:
     """
 
     kind = "abstract"
-    #: Whether drain payloads may carry a shared-memory trace map.
-    #: Local pools attach the parent's /dev/shm buffers; anything that
-    #: crosses a host boundary must regenerate traces worker-side
-    #: (bit-identical by construction — traces are deterministic
-    #: functions of the spec).
-    wants_shared_traces = False
 
     def __init__(self, config: Optional[ExecutorConfig] = None) -> None:
         self.config = config if config is not None else ExecutorConfig()
@@ -218,7 +212,6 @@ class LocalPoolExecutor(Executor):
     """
 
     kind = "local"
-    wants_shared_traces = True
 
     def __init__(self, config: Optional[ExecutorConfig] = None) -> None:
         super().__init__(config)
@@ -237,20 +230,32 @@ class LocalPoolExecutor(Executor):
         if not buffer:
             return {}
         tracer = self._tracer
+        payload_fn = buffer.__getitem__
         on_result = self._on_result
         spans: dict = {}
         if tracer is not None:
-            # One attempt span per cell, parented under the cell span's
-            # context riding in the payload.  The pool does not expose
-            # per-retry boundaries, so this covers the cell's whole stay
-            # in the Supervisor; finished the moment its result lands.
-            for cell, payload in buffer.items():
+            # One attempt span per try, parented under the cell span's
+            # context riding in the payload.  The Supervisor asks for a
+            # cell's payload at every dispatch, so that is where a try
+            # begins; a cell dispatched again while its previous span is
+            # still open was retried (or requeued by a pool recycle).
+            tries: dict = {}
+
+            def payload_fn(cell):
+                payload = buffer[cell]
+                previous = spans.get(cell)
+                if previous is not None:
+                    tracer.finish(previous, status="retry")
+                tries[cell] = tries.get(cell, 0) + 1
                 spans[cell] = tracer.begin(
                     "attempt",
                     payload.get("trace"),
                     cell=cell_name(cell),
+                    attempt=tries[cell],
                     executor="local",
                 )
+                return payload
+
             inner = self._on_result
 
             def on_result(cell, result):
@@ -262,7 +267,7 @@ class LocalPoolExecutor(Executor):
 
         supervisor = Supervisor(
             self._worker,
-            buffer.__getitem__,
+            payload_fn,
             jobs=self.config.jobs,
             timeout=self.config.timeout if timeout is _UNSET else timeout,
             retries=self.config.retries,

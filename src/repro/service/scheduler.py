@@ -71,11 +71,7 @@ from repro.service.durability import (
 from repro.sim.results import SystemResult
 from repro.sim.config import ScaleModel
 from repro.workloads.mixes import make_workloads
-from repro.workloads.trace_cache import (
-    env_enabled,
-    get_trace_cache,
-    sweep_orphan_shared,
-)
+from repro.workloads.trace_cache import env_enabled, get_trace_cache
 
 
 class JobFailed(RuntimeError):
@@ -94,7 +90,8 @@ class SchedulerClosed(RuntimeError):
 #: Version of the :meth:`ServiceStats.to_dict` record shape.  Bump on
 #: any incompatible change (renamed/retyped keys); additive keys keep
 #: the version.  v1: the PR-9 counters plus ``spans``/``span_phases``.
-STATS_SCHEMA_VERSION = 1
+#: v2: ``shm_swept`` removed (traces no longer travel through /dev/shm).
+STATS_SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -130,10 +127,9 @@ class ServiceStats:
     #: ``{scheme: state}`` snapshot of the per-scheme circuit breaker.
     breaker: dict = field(default_factory=dict)
     #: Result-cache self-healing counters (quarantined entries, stale
-    #: tmp files swept at open) and orphaned trace shm segments swept.
+    #: tmp files swept at open).
     cache_quarantined: int = 0
     cache_tmp_swept: int = 0
-    shm_swept: int = 0
     #: Execution backend kind (``local`` or ``cluster``) and the
     #: cluster gauges — zero under the local pool.
     executor: str = "local"
@@ -199,9 +195,6 @@ def _run_spec(payload: dict):
     path too.
     """
     spec = RunSpec.from_dict(payload["spec"])
-    traces = payload.get("traces")
-    if traces:
-        get_trace_cache().attach_shared(traces)
     heartbeat = payload.get("heartbeat")
     if heartbeat:
         from repro.service.durability import beat
@@ -315,10 +308,6 @@ class BatchScheduler:
             report_path = Path(cache_dir) / "run_report.json"
         self.report_path = report_path
         self.metrics_path = metrics_path
-        # A worker that died between attaching a shared trace buffer and
-        # deregistering it strands the segment in /dev/shm forever; a
-        # fresh scheduler is the natural janitor for its predecessors.
-        self.shm_swept = sweep_orphan_shared()
         # The write-ahead journal lives next to the result cache by
         # default — one root for everything a resume needs.
         if journal_dir is None and journal and cache_dir is not None:
@@ -699,7 +688,6 @@ class BatchScheduler:
                 breaker=self.breaker.states() if self.breaker is not None else {},
                 cache_quarantined=self.cache.quarantined if self.cache else 0,
                 cache_tmp_swept=self.cache.tmp_swept if self.cache else 0,
-                shm_swept=self.shm_swept,
                 executor=xstats.kind,
                 workers_connected=xstats.workers_connected,
                 leases_active=xstats.leases_active,
@@ -817,24 +805,29 @@ class BatchScheduler:
         # ``submitted``+``started`` before any work begins — one fsync
         # for the whole batch, nothing on the simulation hot path.
         if self._journal is not None:
+            journal_span = None
+            if self.tracer is not None:
+                journal_span = self.tracer.begin("journal", batch_span)
             for entry in todo:
                 self._journal.append("started", entry.key)
             self._journal.flush()
+            if journal_span is not None:
+                self.tracer.finish(journal_span, records=len(todo))
 
         started = time.monotonic()
         self._batch_started = {entry.spec: started for entry in todo}
 
         # Materialize each distinct workload's record streams once before
         # the fan-out; specs differing only in scheme or cache size share
-        # buffers (content digests dedup them), and with jobs > 1 local
-        # workers attach the parent's shared-memory copies instead of
-        # generating.  Executors that cross a host boundary opt out
-        # (``wants_shared_traces``) — their workers regenerate traces
-        # locally, bit-identical because traces are deterministic
-        # functions of the spec.
-        trace_map: dict[str, str] = {}
-        trace_cache = get_trace_cache() if env_enabled() else None
-        if trace_cache is not None:
+        # buffers (content digests dedup them).  The local pool forks
+        # after this point, so its workers inherit the memo; remote
+        # workers regenerate, bit-identical because traces are
+        # deterministic functions of the spec.
+        if env_enabled():
+            trace_cache = get_trace_cache()
+            materialize_span = None
+            if self.tracer is not None:
+                materialize_span = self.tracer.begin("materialize", batch_span)
             streams = dict.fromkeys(
                 (spec.mix, spec.scale, spec.seed, spec.quota, spec.warmup)
                 for spec in (entry.spec for entry in todo)
@@ -845,14 +838,8 @@ class BatchScheduler:
                     make_workloads(mix, ScaleModel(scale)), seed, quota, warmup
                 )
             trace_cache.persist()
-            if self.jobs > 1 and self.executor.wants_shared_traces:
-                trace_map = trace_cache.export_shared()
-
-        def _payload(spec: RunSpec) -> dict:
-            payload = {"spec": spec.to_dict()}
-            if trace_map and spec.trace_cache is not False:
-                payload["traces"] = trace_map
-            return payload
+            if materialize_span is not None:
+                self.tracer.finish(materialize_span, streams=len(streams))
 
         # The tightest deadline in the batch caps the per-cell timeout:
         # a spec that cannot finish inside its budget should time out
@@ -864,7 +851,7 @@ class BatchScheduler:
             timeout = remaining if timeout is None else min(timeout, remaining)
 
         for entry in todo:
-            payload = _payload(entry.spec)
+            payload = {"spec": entry.spec.to_dict()}
             if self.tracer is not None and entry.span is not None:
                 # The cell's context rides the payload: the executor
                 # parents its attempt/lease spans under it, and a remote
@@ -884,9 +871,6 @@ class BatchScheduler:
                 self._fail(spec, JobFailed(spec, kind))
         except KeyboardInterrupt:
             interrupted = True
-        finally:
-            if trace_cache is not None:
-                trace_cache.close_shared()
         if interrupted:
             # Cells the stopped supervisor never reached: cancel their
             # futures but keep their journal records — an interrupted

@@ -15,10 +15,15 @@ record buffer and replays it at C speed afterwards:
   per-record Python work, and only the (rare) overflow past the prefix
   falls back to generation.
 * :class:`TraceCache` — the process-wide store: an in-process memo keyed
-  by content digest, optional persistence as ``array('q')`` blocks beside
-  the result cache (``<cache_dir>/_traces/``), and
-  ``multiprocessing.shared_memory`` export/import so pool workers attach
-  a parent's buffers instead of regenerating per worker.
+  by content digest and optional persistence as ``array('q')`` blocks
+  beside the result cache (``<cache_dir>/_traces/``).
+
+Pool workers get their streams from the same store, without a hand-off
+of their own: the pool forks after the parent has materialized a run's
+streams, so each worker inherits the parent's memo (and its
+``cache_dir``, so a memo miss reads the disk layer).  Where ``fork`` is
+unavailable, or on a remote cluster worker, the stream regenerates from
+its seed — slower, bit-identical.
 
 Everything is bit-identical by construction: buffers hold exactly the
 tuples the generator yielded, the content digest covers every parameter
@@ -60,69 +65,9 @@ _DEFAULT_MAX_STREAMS = 128
 #: Environment kill-switch (``REPRO_TRACE_CACHE=0`` disables the layer).
 ENV_FLAG = "REPRO_TRACE_CACHE"
 
-#: Prefix of exported shared-memory segment names.  Embedding the
-#: exporter's pid (``repro_trc_<pid>_<seq>``) lets a later process tell
-#: an orphan (exporter dead, segment stranded in /dev/shm) from a live
-#: export and sweep it — see :func:`sweep_orphan_shared`.
-SHM_PREFIX = "repro_trc"
-
-
 def env_enabled() -> bool:
     """Whether the trace cache is enabled by default in this process."""
     return os.environ.get(ENV_FLAG, "1") not in ("0", "false", "no", "off")
-
-
-def _shm_pid_alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:
-        return True  # exists, owned by someone else
-    except OSError:
-        return False
-    return True
-
-
-def sweep_orphan_shared(shm_dir: str | os.PathLike = "/dev/shm") -> int:
-    """Unlink trace segments whose exporting process is gone.
-
-    A worker or parent killed between exporting a segment and
-    :meth:`TraceCache.close_shared` strands it in ``/dev/shm`` forever
-    (shared memory has no owner-exit cleanup).  Segment names embed the
-    exporter's pid, so any later process — the scheduler runs this at
-    start — can safely reap segments whose exporter is dead.  Live
-    exporters (including this process) are never touched.  Returns the
-    number of segments removed; platforms without a file-backed shm
-    directory simply sweep nothing.
-    """
-    from multiprocessing import shared_memory
-
-    removed = 0
-    try:
-        names = os.listdir(shm_dir)
-    except OSError:
-        return 0
-    for name in names:
-        if not name.startswith(SHM_PREFIX + "_"):
-            continue
-        try:
-            pid = int(name[len(SHM_PREFIX) + 1 :].split("_", 1)[0])
-        except ValueError:
-            continue
-        if pid == os.getpid() or _shm_pid_alive(pid):
-            continue
-        try:
-            shm = shared_memory.SharedMemory(name=name)
-        except OSError:
-            continue  # raced with another sweeper
-        try:
-            shm.close()
-            shm.unlink()
-            removed += 1
-        except OSError:  # pragma: no cover - raced with another sweeper
-            pass
-    return removed
 
 
 class MaterializedTrace:
@@ -131,8 +76,7 @@ class MaterializedTrace:
     ``records`` holds the stream prefix produced so far; ``iterator``
     replays it and transparently extends past the end by continuing the
     original generator (kept live in-process) or an identically seeded
-    rebuild fast-forwarded past the prefix (after a disk/shared-memory
-    round trip).
+    rebuild fast-forwarded past the prefix (after a disk round trip).
     """
 
     __slots__ = ("digest", "records", "_source", "_factory", "persisted_len")
@@ -198,7 +142,7 @@ class MaterializedTrace:
                 i += 1
 
     # ------------------------------------------------------------------ #
-    # Serialization (disk files and shared-memory segments share it)
+    # Serialization (the disk layer's file format)
     # ------------------------------------------------------------------ #
 
     def to_bytes(self) -> bytes:
@@ -257,10 +201,9 @@ class _CachedTraceWorkload:
 class TraceCache:
     """Process-wide store of materialized traces.
 
-    Layers, consulted in order: in-process memo, attached shared-memory
-    segments (worker side of a parallel run), the on-disk store under
-    ``<cache_dir>/_traces/``.  A miss everywhere materializes lazily from
-    the workload's generator.
+    Layers, consulted in order: in-process memo, then the on-disk store
+    under ``<cache_dir>/_traces/``.  A miss in both materializes lazily
+    from the workload's generator.
     """
 
     def __init__(
@@ -270,16 +213,10 @@ class TraceCache:
     ) -> None:
         self._memo: OrderedDict[str, MaterializedTrace] = OrderedDict()
         self._max_streams = max_streams
-        #: digest -> shared-memory segment name, set by :meth:`attach_shared`.
-        self._shared: dict[str, str] = {}
-        #: Exported segments owned by this (parent) process.
-        self._exports: list = []
-        self._export_seq = 0
         self.cache_dir: Optional[Path] = None
         self.stats = {
             "memo_hits": 0,
             "disk_hits": 0,
-            "shm_hits": 0,
             "materialized": 0,
         }
         if cache_dir is not None:
@@ -329,11 +266,7 @@ class TraceCache:
             self.stats["memo_hits"] += 1
             return entry
         factory = self._factory(workload, core_seed)
-        records = self._load_shared(digest)
-        if records is None:
-            records = self._load_disk(digest)
-        else:
-            self.stats["shm_hits"] += 1
+        records = self._load_disk(digest)
         if records is None:
             self.stats["materialized"] += 1
             entry = MaterializedTrace(digest, factory, source=factory())
@@ -370,13 +303,14 @@ class TraceCache:
     ) -> list[MaterializedTrace]:
         """Eagerly generate the buffers one run of ``workloads`` will replay.
 
-        Used by fan-out parents before exporting shared memory: workers
-        cannot extend a parent's buffer, so the prefix must already cover
-        the run.  The record-count estimate is the committed-instruction
-        budget over the smallest possible per-record commit (``gap_min +
-        1``) times ``slack`` (the post-quota keep-running phase); a run
-        that still outlives the prefix falls back to generation in the
-        worker — slower, never wrong.
+        Used by fan-out parents before the pool forks: workers inherit
+        the buffer, but what a worker appends stays in that worker, so
+        the prefix should already cover the run.  The record-count
+        estimate is the committed-instruction budget over the smallest
+        possible per-record commit (``gap_min + 1``) times ``slack`` (the
+        post-quota keep-running phase); a run that still outlives the
+        prefix falls back to generation in the worker — slower, never
+        wrong.
         """
         entries = []
         for core_id, workload in enumerate(workloads):
@@ -444,87 +378,10 @@ class TraceCache:
         return written
 
     # ------------------------------------------------------------------ #
-    # Shared-memory layer
-    # ------------------------------------------------------------------ #
-
-    def export_shared(self) -> dict[str, str]:
-        """Copy every memoized buffer into a shared-memory segment.
-
-        Returns ``{digest: segment_name}`` for worker payloads.  Segments
-        stay alive until :meth:`close_shared`; the parent owns the unlink.
-        """
-        from multiprocessing import shared_memory
-
-        mapping: dict[str, str] = {}
-        for digest, entry in list(self._memo.items()):
-            if not entry.records:
-                continue
-            payload = entry.to_bytes()
-            # Pid-stamped names make stranded segments attributable (and
-            # therefore sweepable — see sweep_orphan_shared).
-            shm = None
-            for _ in range(32):
-                name = f"{SHM_PREFIX}_{os.getpid()}_{self._export_seq}"
-                self._export_seq += 1
-                try:
-                    shm = shared_memory.SharedMemory(
-                        name=name, create=True, size=len(payload)
-                    )
-                    break
-                except FileExistsError:
-                    continue  # stale same-pid leftover; try the next seq
-            if shm is None:  # pragma: no cover - 32 collisions in a row
-                shm = shared_memory.SharedMemory(create=True, size=len(payload))
-            shm.buf[: len(payload)] = payload
-            self._exports.append(shm)
-            mapping[digest] = shm.name
-        return mapping
-
-    def close_shared(self) -> None:
-        """Release (close + unlink) every segment this process exported."""
-        for shm in self._exports:
-            try:
-                shm.close()
-                shm.unlink()
-            except OSError:  # pragma: no cover - already gone
-                pass
-        self._exports.clear()
-
-    def attach_shared(self, mapping: dict[str, str]) -> None:
-        """Register parent-exported segments (worker side, attached lazily)."""
-        self._shared.update(mapping)
-
-    def _load_shared(self, digest: str) -> Optional[list]:
-        name = self._shared.get(digest)
-        if name is None:
-            return None
-        from multiprocessing import shared_memory
-
-        try:
-            shm = shared_memory.SharedMemory(name=name)
-        except OSError:
-            return None
-        try:
-            # Pre-3.13 resource trackers treat an attach as ownership and
-            # would unlink the parent's segment at worker exit; the parent
-            # is the sole owner, so deregister our handle.
-            try:
-                from multiprocessing import resource_tracker
-
-                resource_tracker.unregister(shm._name, "shared_memory")
-            except Exception:  # pragma: no cover - tracker internals moved
-                pass
-            records = MaterializedTrace.decode(shm.buf)
-        finally:
-            shm.close()
-        return records
-
-    # ------------------------------------------------------------------ #
 
     def clear(self) -> None:
-        """Drop the memo (tests; exported segments are left untouched)."""
+        """Drop the memo (tests)."""
         self._memo.clear()
-        self._shared.clear()
 
 
 #: The process-global cache ``simulate_spec`` and the runners share.
@@ -539,6 +396,6 @@ def get_trace_cache() -> TraceCache:
 
 
 def reset_trace_cache() -> None:
-    """Tests: forget the global cache (segments/exports are not touched)."""
+    """Tests: forget the global cache."""
     global _GLOBAL
     _GLOBAL = None

@@ -2,10 +2,7 @@
 
 import io
 import json
-import os
 import signal
-import subprocess
-import sys
 import threading
 import time
 import urllib.error
@@ -413,46 +410,8 @@ def test_chaos_plan_yields_bit_identical_digests(tmp_path):
 
 
 # --------------------------------------------------------------------- #
-# Orphaned trace shm segments
+# Result-cache self-healing
 # --------------------------------------------------------------------- #
-
-
-def test_sweep_reclaims_segments_of_dead_processes(tmp_path):
-    shared_memory = pytest.importorskip("multiprocessing.shared_memory")
-    if not os.path.isdir("/dev/shm"):
-        pytest.skip("no file-backed shm directory on this platform")
-    from repro.workloads.trace_cache import SHM_PREFIX, sweep_orphan_shared
-
-    # A worker that really died between attach and deregister.
-    proc = subprocess.run(
-        [sys.executable, "-c", "import os; print(os.getpid())"],
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    dead_pid = int(proc.stdout)
-    name = f"{SHM_PREFIX}_{dead_pid}_0"
-    segment = shared_memory.SharedMemory(name=name, create=True, size=64)
-    segment.close()
-    try:
-        assert sweep_orphan_shared() >= 1
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
-    finally:
-        try:
-            shared_memory.SharedMemory(name=name).unlink()
-        except FileNotFoundError:
-            pass
-
-    # A live exporter's segment is never touched.
-    live = f"{SHM_PREFIX}_{os.getpid()}_0"
-    segment = shared_memory.SharedMemory(name=live, create=True, size=64)
-    try:
-        sweep_orphan_shared()
-        shared_memory.SharedMemory(name=live).close()  # still there
-    finally:
-        segment.close()
-        segment.unlink()
 
 
 def test_result_cache_sweeps_stale_tmp_files(tmp_path):
@@ -594,4 +553,3 @@ def test_new_counters_render_in_prometheus(tmp_path):
     assert "repro_breaker_rejected_total 0" in text
     assert 'repro_breaker_state{scheme="avgcc"} 0' in text
     assert "repro_service_cache_tmp_swept_total 0" in text
-    assert "repro_service_shm_swept_total" in text

@@ -207,6 +207,70 @@ def test_local_batch_emits_the_span_tree(tmp_path):
     assert "cell" in stats.span_phases
 
 
+def _interval(record):
+    return record["wall"], record["wall"] + record["duration"]
+
+
+def test_local_attempt_spans_mean_one_try(tmp_path):
+    specs = [spec(scheme=s) for s in ("baseline", "avgcc", "ascc", "dsr")]
+    _outcomes, _stats, _report, records = run_traced(tmp_path, specs, jobs=1)
+    attempts = sorted(
+        (record for record in records if record["name"] == "attempt"),
+        key=lambda record: record["wall"],
+    )
+    assert len(attempts) == 4
+    assert {record["status"] for record in attempts} == {"ok"}
+    # One worker runs one try at a time: each attempt starts after the
+    # previous one ended (1e-4 s absorbs the six-decimal rounding).
+    for earlier, later in zip(attempts, attempts[1:]):
+        assert _interval(later)[0] >= _interval(earlier)[1] - 1e-4
+
+
+def test_local_retry_shows_as_a_second_attempt_span(tmp_path):
+    from repro.experiments.faults import Fault, FaultPlan
+
+    specs = [spec(), spec(scheme="baseline")]
+    path = tmp_path / "spans.jsonl"
+    plan = FaultPlan({specs[0]: Fault("crash")})
+    outcomes, stats, _report = run_batch(
+        specs,
+        jobs=1,
+        spans_path=path,
+        executor_options={"fault_plan": plan, "backoff": 0.0},
+    )
+    assert stats.failed == 0
+    assert not any(isinstance(outcome, Exception) for outcome in outcomes)
+    records = load_spans(path)
+    cells = {r["span_id"]: r for r in records if r["name"] == "cell"}
+    attempts: dict = {}
+    for record in records:
+        if record["name"] == "attempt":
+            cell = cells[record["parent_id"]]["cell"]
+            attempts.setdefault(cell, []).append(record)
+    crashed = sorted(attempts.pop(specs[0].name), key=lambda r: r["wall"])
+    assert [r["status"] for r in crashed] == ["retry", "ok"]
+    assert [r["attempt"] for r in crashed] == [1, 2]
+    assert _interval(crashed[1])[0] >= _interval(crashed[0])[1] - 1e-4
+    assert [[r["status"] for r in rest] for rest in attempts.values()] == [["ok"]]
+
+
+def test_drain_rounds_trace_materialize_and_journal(tmp_path):
+    specs = [spec(), spec(scheme="baseline"), spec(mix="444+445")]
+    _outcomes, stats, _report, records = run_traced(
+        tmp_path, specs, jobs=2, cache_dir=tmp_path / "cache"
+    )
+    assert stats.executed == 3
+    rounds = {
+        r["span_id"]
+        for r in records
+        if r["name"] == "batch" and r.get("executed", 0) > 0
+    }
+    assert rounds
+    for name in ("materialize", "journal"):
+        parents = Counter(r["parent_id"] for r in records if r["name"] == name)
+        assert parents == Counter(rounds), name
+
+
 def test_tracing_does_not_change_digests(tmp_path):
     specs = [spec(), spec(scheme="baseline")]
     plain, _s, _r = run_batch(specs, jobs=1)
@@ -221,7 +285,7 @@ def test_untraced_scheduler_has_no_tracer_and_full_stats(tmp_path):
     assert stats.spans == {}
     assert stats.span_phases == {}
     data = stats.to_dict()
-    assert data["stats_version"] == 1
+    assert data["stats_version"] == 2
     assert data["submitted"] == 1
 
 

@@ -1,23 +1,27 @@
-"""The materialized trace layer: memo, disk, shared memory, bit-identity.
+"""The materialized trace layer: memo, disk, fork inheritance, bit-identity.
 
 The contract under test is the one every speedup in the layer rests on:
 a materialized stream replayed through any storage hop (in-process memo,
-``array('q')`` disk blocks, a shared-memory segment) yields exactly the
-records the raw generator would have produced with the engine's RNG
-seeding, record for record.
+``array('q')`` disk blocks, a forked pool worker's inherited memo)
+yields exactly the records the raw generator would have produced with
+the engine's RNG seeding, record for record.
 """
 
+import multiprocessing
 from itertools import islice
 from random import Random
 
 import pytest
 
 from repro.api.spec import RunSpec
+from repro.experiments.supervision import Supervisor
 from repro.workloads.mixes import make_workloads
 from repro.workloads.trace_cache import (
     MaterializedTrace,
     TraceCache,
     env_enabled,
+    get_trace_cache,
+    reset_trace_cache,
 )
 
 MIX = (471, 444)
@@ -113,20 +117,42 @@ def test_corrupt_disk_entry_regenerates(tmp_path, workloads):
     assert list(islice(loaded.iterator(), 256)) == _reference(workloads[0], 0)[:256]
 
 
-def test_shared_memory_view_equals_generator_output(workloads):
-    parent = TraceCache()
-    parent.materialize_for_run(workloads, SEED, QUOTA, WARMUP)
-    mapping = parent.export_shared()
-    assert len(mapping) == len(workloads)
+def _probe_inherited_stream(payload: dict):
+    """Pool worker: read one core's stream from the process-global cache
+    and report the cache's stats around the lookup."""
+    core_id = payload["core"]
+    cache = get_trace_cache()
+    before = dict(cache.stats)
+    entry = cache.get(make_workloads(MIX)[core_id], core_id, SEED, QUOTA, WARMUP)
+    records = list(islice(entry.iterator(), K))
+    return core_id, (before, dict(cache.stats), records)
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="pool workers inherit the parent's memo only under fork",
+)
+def test_forked_pool_workers_inherit_the_parents_memo(workloads):
+    reset_trace_cache()
     try:
-        worker = TraceCache()
-        worker.attach_shared(mapping)
-        for core_id, raw in enumerate(workloads):
-            entry = worker.get(raw, core_id, SEED, QUOTA, WARMUP)
-            assert worker.stats["shm_hits"] == core_id + 1
-            assert entry.records[:K] == _reference(raw, core_id)
+        parent = get_trace_cache()  # no cache_dir: the memo is the only source
+        parent.materialize_for_run(workloads, SEED, QUOTA, WARMUP)
+        materialized = parent.stats["materialized"]
+        assert materialized == len(workloads)
+        supervisor = Supervisor(
+            _probe_inherited_stream,
+            lambda core_id: {"core": core_id},
+            jobs=2,
+            retries=0,
+        )
+        results = supervisor.run(range(len(workloads)))
+        assert sorted(results) == list(range(len(workloads)))
+        for core_id, (before, after, records) in results.items():
+            assert after["memo_hits"] == before["memo_hits"] + 1
+            assert after["materialized"] == materialized
+            assert records == _reference(workloads[core_id], core_id)
     finally:
-        parent.close_shared()
+        reset_trace_cache()
 
 
 def test_finite_source_replay_terminates():
