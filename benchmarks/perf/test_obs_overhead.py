@@ -35,7 +35,8 @@ from dataclasses import astuple
 from pathlib import Path
 
 from benchmarks.perf import bench_sim_kernel
-from repro.experiments.runner import simulate_mix
+from repro.api import RunSpec
+from repro.experiments.runner import simulate_spec
 from repro.obs import CompositeObserver, EventTracer, IntervalRecorder, Observer
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -53,7 +54,9 @@ def _signature(result):
 
 
 def test_observer_variants_are_bit_identical():
-    bare = simulate_mix(MIX, "avgcc", quota=QUOTA, warmup=WARMUP, seed=SEED)
+    bare = simulate_spec(
+        RunSpec(mix=MIX, scheme="avgcc", quota=QUOTA, warmup=WARMUP, seed=SEED),
+    )
     variants = {
         "observer=None": None,
         "inert Observer()": Observer(),
@@ -63,8 +66,9 @@ def test_observer_variants_are_bit_identical():
     }
     expected = _signature(bare)
     for label, observer in variants.items():
-        result = simulate_mix(
-            MIX, "avgcc", quota=QUOTA, warmup=WARMUP, seed=SEED, observer=observer
+        result = simulate_spec(
+            RunSpec(mix=MIX, scheme="avgcc", quota=QUOTA, warmup=WARMUP, seed=SEED),
+            observer=observer,
         )
         assert _signature(result) == expected, f"{label} changed simulated state"
 
@@ -76,8 +80,9 @@ def test_disabled_observer_throughput_within_band():
         best = float("inf")
         for _ in range(n):
             start = time.perf_counter()
-            simulate_mix(
-                MIX, "ascc", quota=QUOTA, warmup=WARMUP, seed=SEED, observer=observer
+            simulate_spec(
+                RunSpec(mix=MIX, scheme="ascc", quota=QUOTA, warmup=WARMUP, seed=SEED),
+                observer=observer,
             )
             best = min(best, time.perf_counter() - start)
         return best
@@ -94,11 +99,13 @@ def test_disabled_observer_throughput_within_band():
 def test_kernel_benchmark_smoke_and_throughput_band(tmp_path):
     out = tmp_path / "bench_smoke.json"
     assert bench_sim_kernel.main(["--smoke", "--output", str(out)]) == 0
-    smoke = json.loads(out.read_text())
+    # Both files are append-a-run trajectories (benchmarks/perf/trajectory.py);
+    # the run to check is the one under "latest".
+    smoke = json.loads(out.read_text())["latest"]
     assert smoke["counters_identical"] is True
     assert smoke["speedup"] >= 1.0
 
-    baseline = json.loads(BASELINE.read_text())
+    baseline = json.loads(BASELINE.read_text())["latest"]
     band = float(os.environ.get("REPRO_PERF_BAND", "8.0"))
     smoke_aps = smoke["optimized"]["accesses_per_sec"]
     base_aps = baseline["optimized"]["accesses_per_sec"]

@@ -102,8 +102,8 @@ def _check_codes(codes: Sequence[int]) -> None:
 class RunSpec:
     """One simulation request, fully specified and immutable.
 
-    Defaults mirror the paper methodology (and the historical
-    ``simulate_mix``/``ExperimentRunner`` defaults), so
+    Defaults mirror the paper methodology (and the
+    :class:`~repro.experiments.runner.ExperimentRunner` defaults), so
     ``RunSpec(mix=(471, 444))`` is the headline AVGCC cell.
 
     ``quota < warmup`` is deliberately legal: the engine warms for

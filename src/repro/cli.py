@@ -102,7 +102,7 @@ import os
 import sys
 from typing import Callable, Mapping
 
-from repro.api.spec import RunSpec, SpecError, _check_codes, parse_mix
+from repro.api.spec import RunSpec, SpecError
 from repro.experiments import (
     fig1_ways,
     fig2_sets,
@@ -195,21 +195,6 @@ _FLAG_FOR_FIELD = {
     "trace_cache": "--trace-cache",
     "sanitize": "--sanitize",
 }
-
-
-def _parse_mix(text: str) -> tuple[int, ...]:
-    """Parse ``471+444`` into benchmark codes, failing with usable messages.
-
-    A thin exit-code shim over :func:`repro.api.parse_mix` — the single
-    parser/validator for mix strings — kept so scripts (and tests) that
-    used the CLI helper directly keep working.
-    """
-    try:
-        codes = parse_mix(text)
-        _check_codes(codes)
-        return codes
-    except SpecError as exc:
-        raise SystemExit(str(exc)) from None
 
 
 def _spec_from_args(args: argparse.Namespace, **overrides) -> RunSpec:

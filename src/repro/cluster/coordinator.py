@@ -325,7 +325,7 @@ class ClusterExecutor(Executor):
         self._buffer[cell] = payload
 
     def drain(self, timeout=_UNSET) -> dict:
-        if self._worker is None:
+        if self._on_result is None:
             raise RuntimeError("executor is not bound; call bind() first")
         buffer, self._buffer = self._buffer, {}
         if not buffer:
@@ -518,7 +518,7 @@ class ClusterExecutor(Executor):
             state.fail_or_requeue(lease.cell, "undecodable-result")
             return
         duration = time.monotonic() - lease.dispatched
-        if self._validate is not None and not self._validate(result):
+        if not self.validate(result):
             self._finish_lease_spans(lease, "invalid-result")
             state.fail_or_requeue(lease.cell, "invalid-result")
             return
@@ -526,8 +526,7 @@ class ClusterExecutor(Executor):
         state.results[lease.cell] = result
         state.report.mark_ok(lease.cell, duration)
         state.report.record(lease.cell).worker = worker.name
-        if self._on_result is not None:
-            self._on_result(lease.cell, result)
+        self._on_result(lease.cell, result)
 
     def _handle_error(self, state: _Drain, worker: RemoteWorker, frame: dict) -> None:
         lease = state.leases.pop(frame.get("lease"), None)

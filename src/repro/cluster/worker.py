@@ -11,7 +11,7 @@ process per host (or several), each connecting to the coordinator with
    instead of a traceback;
 3. executes ``lease`` frames on a ``slots``-wide thread pool through
    the *same* worker entry point the local pool uses
-   (:func:`repro.service.scheduler._run_spec`), so trace
+   (:func:`repro.experiments.runner.run_payload`), so trace
    materialisation, fault injection and simulation semantics are
    identical wherever a cell lands;
 4. streams each outcome back as a ``result`` (pickled
@@ -199,7 +199,7 @@ class WorkerClient:
 
     def _execute(self, frame: dict) -> None:
         """Run one lease and stream its outcome back."""
-        from repro.service.scheduler import _run_spec
+        from repro.experiments.runner import run_payload
 
         lease = frame.get("lease")
         payload = dict(frame.get("payload") or {})
@@ -216,7 +216,7 @@ class WorkerClient:
         started = time.monotonic()
         wall = time.time()
         try:
-            _, result = _run_spec(payload)
+            _, result = run_payload(payload)
         except BaseException as exc:  # noqa: BLE001 - streamed, not raised
             self.errors += 1
             try:

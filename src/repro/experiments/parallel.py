@@ -5,23 +5,24 @@ each cell depends only on the runner's configuration and its ``(codes,
 scheme)`` pair, never on another cell.  :class:`ParallelRunner` exploits
 that three ways:
 
-* **Fan-out** — ``prewarm`` runs the matrix's missing cells across a
-  ``ProcessPoolExecutor`` (``--jobs N`` on the CLI).  Workers rebuild the
-  runner from its primitive parameters and return the finished
+* **Fan-out** — ``prewarm`` runs the matrix's missing cells through the
+  batch tier's :class:`~repro.service.executor.LocalPoolExecutor`
+  (``--jobs N`` on the CLI).  Workers rebuild each cell's
+  :class:`~repro.api.spec.RunSpec` and return the finished
   :class:`~repro.sim.results.SystemResult`; simulations are deterministic
-  functions of those parameters, so the fan-out is bit-identical to the
-  serial path.
+  functions of the spec, so the fan-out is bit-identical to the serial
+  path.
 * **Disk cache** — with ``cache_dir`` set, every finished cell is pickled
   under a content-addressed key (SHA-256 over the runner parameters and
   the cell coordinates).  Re-running an experiment with the same
   configuration loads cells instead of simulating them; *any* parameter
-  change (scale, quota, warmup, seed, L2 size, prefetcher, or the cache
-  format version below) changes the key, so stale results can never be
-  served.  Entries embed a SHA-256 payload checksum verified on read;
+  change (scale, quota, warmup, seed, L2 size, prefetcher, or
+  :data:`~repro.api.spec.CACHE_FORMAT_VERSION`) changes the key, so
+  stale results can never be served.  Entries embed a SHA-256 payload checksum verified on read;
   corrupt or truncated entries are quarantined and recomputed.  Writes
   go through a temporary file and ``os.replace`` so concurrent runners
   sharing a cache directory see only complete entries.
-* **Supervision** — the fan-out goes through
+* **Supervision** — the executor runs each drain under a
   :class:`~repro.experiments.supervision.Supervisor`: task-level
   submission (each finished cell is stored and disk-cached immediately),
   per-cell wall-clock timeouts, bounded retry with exponential backoff,
@@ -43,57 +44,15 @@ import pickle
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-from repro.api.spec import CACHE_FORMAT_VERSION, RunSpec
-from repro.experiments.faults import FaultPlan, apply_fault, fault_plan_from_env
-from repro.experiments.runner import ExperimentRunner, simulate_spec
-from repro.experiments.supervision import RunReport, Supervisor
+from repro.api.spec import RunSpec
+from repro.experiments.faults import FaultPlan, fault_plan_from_env
+from repro.experiments.runner import ExperimentRunner, materialize_traces
+from repro.experiments.supervision import ExecutorConfig, RunReport
 from repro.sim.results import SystemResult
-from repro.workloads.mixes import make_workloads
 from repro.workloads.trace_cache import env_enabled, get_trace_cache
-
-#: The cache format version now lives with the canonical key —
-#: :data:`repro.api.spec.CACHE_FORMAT_VERSION` — since the key *is* the
-#: format's identity.  Kept as an alias for existing imports.
-_FORMAT_VERSION = CACHE_FORMAT_VERSION
 
 #: A cache cell: the workload codes and the scheme simulated on them.
 Cell = tuple[tuple[int, ...], str]
-
-
-def runner_fingerprint(runner: ExperimentRunner) -> tuple:
-    """Primitive parameters that fully determine a runner's simulations."""
-    pf = runner.prefetch
-    return (
-        _FORMAT_VERSION,
-        runner.scale.scale,
-        runner.quota,
-        runner.warmup,
-        runner.seed,
-        runner.l2_paper_bytes,
-        None if pf is None else (pf.table_entries, pf.degree, pf.confidence_threshold),
-    )
-
-
-def cell_key(fingerprint: tuple, codes: Sequence[int], scheme: str) -> str:
-    """Content-addressed cache key for one simulation cell.
-
-    Delegates to the canonical :meth:`RunSpec.cache_key` — the same key
-    the batch service derives — so a result computed by either consumer
-    is a hit for the other.  ``fingerprint`` is the
-    :func:`runner_fingerprint` layout.
-    """
-    _version, scale, quota, warmup, seed, l2_paper_bytes, prefetch = fingerprint
-    spec = RunSpec(
-        mix=tuple(codes),
-        scheme=scheme,
-        quota=quota,
-        warmup=warmup,
-        seed=seed,
-        scale=scale,
-        l2_paper_bytes=l2_paper_bytes,
-        prefetch=prefetch,
-    )
-    return spec.cache_key()
 
 
 class ResultCache:
@@ -110,7 +69,7 @@ class ResultCache:
     """
 
     #: Entry header; changing the on-disk layout changes this magic (and
-    #: ``_FORMAT_VERSION``, which keys every entry).
+    #: ``CACHE_FORMAT_VERSION``, which keys every entry).
     MAGIC = b"RPC2"
 
     #: Directory (under the root) quarantined entries are moved into.
@@ -227,45 +186,15 @@ def _pid_alive(pid: int) -> bool:
     return True
 
 
-def _simulate_cell(payload: dict) -> tuple[Cell, object]:
-    """Worker entry point: rebuild the spec and simulate one cell.
-
-    Module-level (picklable) and parameterised by a JSON-style
-    :class:`RunSpec` dict only, so it works under any multiprocessing
-    start method.  An injected fault (see
-    :mod:`repro.experiments.faults`) fires here, before the simulation.
-    """
-    spec = RunSpec.from_dict(payload["spec"])
-    heartbeat = payload.get("heartbeat")
-    if heartbeat:
-        from repro.service.durability import HEARTBEAT_IDLE, beat
-
-        beat(heartbeat)
-    try:
-        fault = payload.get("fault")
-        if fault is not None:
-            injected = apply_fault(
-                fault,
-                in_process=payload.get("fault_in_process", False),
-                heartbeat=heartbeat,
-            )
-            if injected is not None:  # a corrupted-result sentinel
-                return spec.cell(), injected
-        return spec.cell(), simulate_spec(spec)
-    finally:
-        if heartbeat:
-            beat(heartbeat, HEARTBEAT_IDLE)
-
-
 class ParallelRunner(ExperimentRunner):
     """Experiment runner with supervised fan-out and an on-disk cache.
 
     Drop-in replacement for :class:`ExperimentRunner`: ``run``/``outcome``
     keep their lazy, serial semantics (plus disk-cache lookups), while
     ``prewarm`` — called by the experiment drivers before a matrix — bulk
-    simulates whatever is missing under a
-    :class:`~repro.experiments.supervision.Supervisor` (timeouts, retries,
-    pool recovery, graceful interruption) and returns the
+    simulates whatever is missing through a
+    :class:`~repro.service.executor.LocalPoolExecutor` (timeouts,
+    retries, pool recovery, graceful interruption) and returns the
     :class:`~repro.experiments.supervision.RunReport`.
     """
 
@@ -283,34 +212,31 @@ class ParallelRunner(ExperimentRunner):
         **kwargs,
     ) -> None:
         super().__init__(**kwargs)
-        self.jobs = max(1, int(jobs))
         self.cache = ResultCache(cache_dir) if cache_dir is not None else None
         if cache_dir is not None and env_enabled():
             # Trace buffers persist beside the result cache (one root,
             # two stores): a later run replays streams from disk even
             # when every result cell misses (e.g. a new scheme).
             get_trace_cache().set_cache_dir(cache_dir)
-        self.timeout = timeout
-        self.retries = retries
-        self.backoff = backoff
-        self.fault_plan = fault_plan
-        self.hang_grace = hang_grace
+        self.executor_config = ExecutorConfig(
+            jobs=max(1, int(jobs)),
+            timeout=timeout,
+            retries=retries,
+            backoff=backoff,
+            hang_grace=hang_grace,
+            fault_plan=fault_plan,
+        )
         if report_path is None and cache_dir is not None:
             report_path = Path(cache_dir) / "run_report.json"
         self.report_path = report_path
         #: Where ``prewarm`` drops the Prometheus text rendering of its
         #: report (``--metrics`` on the CLI); ``None`` disables it.
         self.metrics_path = metrics_path
-        #: The report of the most recent ``prewarm`` (for callers/tests).
-        self.last_report: Optional[RunReport] = None
 
     # ------------------------------------------------------------------ #
 
     def _key(self, codes: tuple[int, ...], scheme: str) -> str:
         return self.spec(codes, scheme).cache_key()
-
-    def _payload(self, cell: Cell) -> dict:
-        return {"spec": self.spec(*cell).to_dict()}
 
     def _store(self, cell: Cell, result: SystemResult) -> None:
         self._results[cell] = result
@@ -357,15 +283,15 @@ class ParallelRunner(ExperimentRunner):
             for code in codes:
                 wanted[((code,), "baseline")] = None
 
+        config = self.executor_config
         report = RunReport(
             config={
-                "jobs": self.jobs,
-                "timeout": self.timeout,
-                "retries": self.retries,
-                "fingerprint": list(runner_fingerprint(self))[1:],
+                "jobs": config.jobs,
+                "timeout": config.timeout,
+                "retries": config.retries,
+                "fingerprint": list(self.spec((), "baseline").runner_key()),
             }
         )
-        self.last_report = report
         cache = self.cache
         base = (
             (cache.hits, cache.misses, cache.quarantined)
@@ -373,18 +299,19 @@ class ParallelRunner(ExperimentRunner):
             else (0, 0, 0)
         )
 
-        missing = []
+        missing: dict[Cell, RunSpec] = {}
         for cell in wanted:
             if cell in self._results:
                 report.mark_hit(cell, "memory")
                 continue
+            spec = self.spec(*cell)
             if cache is not None:
-                found = cache.get(self._key(*cell))
+                found = cache.get(spec.cache_key())
                 if found is not None:
                     self._results[cell] = found
                     report.mark_hit(cell, "cache")
                     continue
-            missing.append(cell)
+            missing[cell] = spec
 
         if cache is not None:
             # All of prewarm's disk lookups happen in the scan above, so
@@ -393,46 +320,24 @@ class ParallelRunner(ExperimentRunner):
             report.cache_misses = cache.misses - base[1]
             report.cache_quarantined = cache.quarantined - base[2]
 
-        if not missing:
-            report.finalize()
-            if self.report_path is not None:
-                report.write(self.report_path)
-            self._write_metrics(report)
-            return report
-
-        if env_enabled():
-            # Materialize each distinct mix's record streams once in the
-            # parent (disk-backed streams load instead of generating); the
-            # pool forks afterwards, so N workers replay the inherited
-            # buffers instead of generating N copies.  Streams dedup by
-            # content digest, so the cross-size and cross-scheme cells of
-            # a sweep all map to one buffer.
-            trace_cache = get_trace_cache()
-            for codes in dict.fromkeys(cell[0] for cell in missing):
-                trace_cache.materialize_for_run(
-                    make_workloads(codes, self.scale),
-                    self.seed,
-                    self.quota,
-                    self.warmup,
-                )
-            trace_cache.persist()
-
-        supervisor = Supervisor(
-            _simulate_cell,
-            self._payload,
-            jobs=self.jobs,
-            timeout=self.timeout,
-            retries=self.retries,
-            backoff=self.backoff,
-            fault_plan=self.fault_plan,
-            hang_grace=self.hang_grace,
-            validate=lambda result: isinstance(result, SystemResult),
-            on_result=self._store,
-            report=report,
-            report_path=self.report_path,
-        )
         try:
-            supervisor.run(missing)
+            if missing:
+                # Import here: the service package imports this module.
+                from repro.service.executor import LocalPoolExecutor
+
+                materialize_traces(missing.values())
+                executor = LocalPoolExecutor(config).bind(
+                    on_result=self._store,
+                    report=report,
+                    report_path=self.report_path,
+                )
+                for cell, spec in missing.items():
+                    executor.submit(cell, {"spec": spec.to_dict()})
+                executor.drain()
+            else:
+                report.finalize()
+                if self.report_path is not None:
+                    report.write(self.report_path)
         finally:
             # Interrupted or failed sweeps still leave their metrics, like
             # the JSON report the supervisor writes on the same paths.

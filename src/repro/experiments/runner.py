@@ -12,12 +12,12 @@ caches.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from repro.api.spec import RunSpec
+from repro.experiments.faults import apply_fault
 from repro.metrics.latency import LatencyBreakdown, latency_breakdown
 from repro.metrics.speedup import (
     harmonic_mean_speedup,
@@ -35,25 +35,42 @@ from repro.workloads.trace_cache import env_enabled, get_trace_cache
 #: Scheme name handled by the runner rather than the policy registry.
 SHARED_SCHEME = "shared"
 
-#: Legacy entry points that already warned this process (warn exactly
-#: once per function, not once per call site or per sweep cell).
-_DEPRECATION_WARNED: set[str] = set()
+
+def replays_traces(spec: RunSpec) -> bool:
+    """Whether ``spec`` replays materialized record buffers.
+
+    The spec's own ``trace_cache`` field wins; unset, the
+    ``REPRO_TRACE_CACHE`` environment default decides.  The one rule
+    behind both the replay in :func:`simulate_spec` and the parent-side
+    :func:`materialize_traces`, so a parent never skips a stream its
+    workers will replay (or builds one they will not).
+    """
+    return spec.trace_cache if spec.trace_cache is not None else env_enabled()
 
 
-def _warn_legacy(name: str) -> None:
-    if name in _DEPRECATION_WARNED:
-        return
-    _DEPRECATION_WARNED.add(name)
-    from repro.service.executor import REMOVAL_VERSION
+def materialize_traces(specs: Iterable[RunSpec]) -> int:
+    """Materialize and persist the distinct record streams of ``specs``.
 
-    warnings.warn(
-        f"calling {name}() with (codes, scheme, ...) keyword arguments is "
-        f"deprecated and will be removed in {REMOVAL_VERSION}; build a "
-        f"repro.api.RunSpec once and pass it instead "
-        f"(e.g. {name}(RunSpec(mix=(471, 444), scheme='avgcc')))",
-        DeprecationWarning,
-        stacklevel=3,
+    Fan-out parents call this before the pool forks, so N workers
+    replay the inherited buffers instead of generating N copies
+    (disk-backed streams load instead of generating).  Specs differing
+    only in scheme or cache size share a stream, and specs that do not
+    replay traces are skipped.  Returns the number of distinct streams.
+    """
+    streams = dict.fromkeys(
+        (spec.mix, spec.scale, spec.seed, spec.quota, spec.warmup)
+        for spec in specs
+        if replays_traces(spec)
     )
+    if not streams:
+        return 0
+    trace_cache = get_trace_cache()
+    for mix, scale, seed, quota, warmup in streams:
+        trace_cache.materialize_for_run(
+            make_workloads(mix, ScaleModel(scale)), seed, quota, warmup
+        )
+    trace_cache.persist()
+    return len(streams)
 
 
 def simulate_spec(spec: RunSpec, observer=None) -> SystemResult:
@@ -70,8 +87,7 @@ def simulate_spec(spec: RunSpec, observer=None) -> SystemResult:
     scale: ScaleModel = params["scale"]
     codes = spec.mix
     workloads = make_workloads(codes, scale)
-    use_traces = spec.trace_cache if spec.trace_cache is not None else env_enabled()
-    if use_traces:
+    if replays_traces(spec):
         # Replace each benchmark's generator with a replay of its
         # materialized record buffer (generated once per process, shared
         # across schemes/sizes/repeats).  Bit-identical by construction;
@@ -120,47 +136,38 @@ def simulate_spec(spec: RunSpec, observer=None) -> SystemResult:
     )
 
 
-def simulate_mix(
-    codes: Sequence[int] | RunSpec,
-    scheme: Optional[str] = None,
-    *,
-    scale: ScaleModel = ScaleModel(),
-    quota: int = 150_000,
-    warmup: int = 150_000,
-    seed: int = 7,
-    l2_paper_bytes: int = PAPER_L2.size_bytes,
-    prefetch: Optional[PrefetchConfig] = None,
-    observer=None,
-) -> SystemResult:
-    """Simulate one cell and return its :class:`SystemResult`.
+def run_payload(payload: dict) -> tuple[RunSpec, SystemResult]:
+    """Worker entry point: rebuild the spec and simulate it.
 
-    Preferred form: ``simulate_mix(RunSpec(mix=(471, 444)))``.  The
-    historical ``simulate_mix(codes, scheme, quota=..., ...)`` kwarg
-    spelling keeps working but emits a :class:`DeprecationWarning`
-    (once per process) pointing at :class:`~repro.api.spec.RunSpec`;
-    both paths run the identical simulation.
+    The one function every pool worker and cluster worker enters
+    through.  Module-level and parameterised by a JSON-style
+    :class:`RunSpec` dict only, so it works under any multiprocessing
+    start method.  Beats the heartbeat file while the cell runs (when
+    the watchdog is armed) and fires an injected fault (see
+    :mod:`repro.experiments.faults`) before the simulation.  The
+    supervisor keys results by its own cell, so the returned spec is
+    informational.
     """
-    if isinstance(codes, RunSpec):
-        if scheme is not None:
-            raise TypeError(
-                "simulate_mix(spec) takes no separate scheme — set it on "
-                "the RunSpec"
+    spec = RunSpec.from_dict(payload["spec"])
+    heartbeat = payload.get("heartbeat")
+    if heartbeat:
+        from repro.service.durability import HEARTBEAT_IDLE, beat
+
+        beat(heartbeat)
+    try:
+        fault = payload.get("fault")
+        if fault is not None:
+            injected = apply_fault(
+                fault,
+                in_process=payload.get("fault_in_process", False),
+                heartbeat=heartbeat,
             )
-        return simulate_spec(codes, observer=observer)
-    _warn_legacy("simulate_mix")
-    if scheme is None:
-        raise TypeError("simulate_mix() missing required argument: 'scheme'")
-    spec = RunSpec(
-        mix=tuple(codes),
-        scheme=scheme,
-        quota=quota,
-        warmup=warmup,
-        seed=seed,
-        scale=scale,
-        l2_paper_bytes=l2_paper_bytes,
-        prefetch=prefetch,
-    )
-    return simulate_spec(spec, observer=observer)
+            if injected is not None:  # a corrupted-result sentinel
+                return spec, injected
+        return spec, simulate_spec(spec)
+    finally:
+        if heartbeat:
+            beat(heartbeat, HEARTBEAT_IDLE)
 
 
 @dataclass
@@ -295,23 +302,13 @@ class ExperimentRunner:
         return simulate_spec(self.spec(codes, scheme))
 
 
-def run_mix(
-    codes: tuple[int, ...] | RunSpec,
-    scheme: str = "avgcc",
-    runner: Optional[ExperimentRunner] = None,
-) -> MixOutcome:
+def run_mix(spec: RunSpec, runner: Optional[ExperimentRunner] = None) -> MixOutcome:
     """One-shot convenience wrapper around :class:`ExperimentRunner`.
 
-    Preferred form: ``run_mix(RunSpec(mix=(471, 444)))`` — the runner
-    (built to the spec's parameters unless one is passed in) resolves
-    the outcome against its baseline and stand-alone runs.  The
-    historical ``run_mix(codes, scheme, runner=...)`` spelling keeps
-    working but emits a :class:`DeprecationWarning` once per process.
+    ``run_mix(RunSpec(mix=(471, 444)))`` resolves the spec's outcome
+    against its baseline and stand-alone runs, on ``runner`` when one is
+    passed and otherwise on a runner built to the spec's parameters.
     """
-    if isinstance(codes, RunSpec):
-        spec = codes
-        if runner is None:
-            runner = ExperimentRunner(**spec.runner_params())
-        return runner.outcome(spec.mix, spec.scheme)
-    _warn_legacy("run_mix")
-    return (runner or ExperimentRunner()).outcome(tuple(codes), scheme)
+    if runner is None:
+        runner = ExperimentRunner(**spec.runner_params())
+    return runner.outcome(spec.mix, spec.scheme)

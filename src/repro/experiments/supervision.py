@@ -51,7 +51,7 @@ import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -322,6 +322,30 @@ class SupervisionError(RuntimeError):
         super().__init__(
             f"{len(self.failed)} cell(s) failed after retries — {detail}"
         )
+
+
+@dataclass(frozen=True)
+class ExecutorConfig:
+    """Execution policy shared by every backend.
+
+    The :class:`Supervisor`'s policy knobs as one value: the batch
+    scheduler and the parallel runner each hold one and hand it to an
+    executor (see :mod:`repro.service.executor`), which interprets it
+    in its own terms (``jobs`` is pool width locally, irrelevant to a
+    cluster whose width is whatever workers connect; ``hang_grace``
+    arms the local heartbeat watchdog or the remote-lease staleness
+    check).
+    """
+
+    jobs: int = 1
+    timeout: Optional[float] = None
+    retries: int = 2
+    backoff: float = 0.25
+    hang_grace: Optional[float] = None
+    fault_plan: Optional[FaultPlan] = None
+
+    def with_timeout(self, timeout: Optional[float]) -> "ExecutorConfig":
+        return replace(self, timeout=timeout)
 
 
 class Supervisor:

@@ -32,10 +32,6 @@ def escape_help(text: str) -> str:
     return text.replace("\\", r"\\").replace("\n", r"\n")
 
 
-#: Backwards-compatible alias (pre-PR-9 name).
-_escape = escape_label_value
-
-
 def _labels(**labels: object) -> str:
     if not labels:
         return ""

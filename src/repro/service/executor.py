@@ -19,61 +19,42 @@ four-method contract:
 
 Backends are interchangeable by construction:
 
-* :class:`LocalPoolExecutor` is today's behaviour, verbatim — each
-  drain builds a :class:`Supervisor` with exactly the kwargs the
-  scheduler used to pass, so ``--executor local`` stays bit-identical
-  (the golden-digest tests run unchanged against it).
+* :class:`LocalPoolExecutor` runs each drain under a
+  :class:`Supervisor` over a local process pool — the only place one is
+  built, for the batch scheduler and the experiment runner's ``prewarm``
+  alike, so ``--executor local`` stays bit-identical (the golden-digest
+  tests run unchanged against it).
 * :class:`~repro.cluster.ClusterExecutor` (see :mod:`repro.cluster`)
   fans the same payloads out to worker processes on other hosts over
   the length-prefixed wire protocol.
 
-The scheduler keeps owning everything above execution — dedup, the
-priority queue, journal, admission, breaker, deadlines — which is what
-makes the acceptance property cheap to state: an executor only decides
-*where* a cell simulates, never *what* it computes.
+Every backend runs the same worker entry point,
+:func:`repro.experiments.runner.run_payload`, and accepts only results
+that pass :meth:`Executor.validate`.  The scheduler keeps owning
+everything above execution — dedup, the priority queue, journal,
+admission, breaker, deadlines — which is what makes the acceptance
+property cheap to state: an executor only decides *where* a cell
+simulates, never *what* it computes.
 """
 
 from __future__ import annotations
 
 import threading
-import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
-from repro.experiments.faults import FaultPlan
+from repro.experiments.runner import run_payload
 from repro.experiments.supervision import (
+    ExecutorConfig,
     RunReport,
     SupervisionError,
     Supervisor,
     cell_name,
 )
+from repro.sim.results import SystemResult
 
 #: Distinguishes "kwarg not passed" from an explicit ``None``.
 _UNSET = object()
-
-#: The release that deletes the legacy kwargs this module still shims.
-#: Named in every deprecation message so callers know their horizon.
-REMOVAL_VERSION = "repro 2.0"
-
-#: Once-per-process latch for legacy-kwarg deprecation warnings (same
-#: policy as :mod:`repro.experiments.runner`): the first legacy use
-#: warns with migration guidance, the rest stay quiet so a sweep over
-#: thousands of specs does not drown its own output.
-_DEPRECATION_WARNED: set = set()
-
-
-def warn_legacy(name: str, replacement: str) -> None:
-    """Emit one :class:`DeprecationWarning` per process per kwarg."""
-    if name in _DEPRECATION_WARNED:
-        return
-    _DEPRECATION_WARNED.add(name)
-    warnings.warn(
-        f"{name} is deprecated and will be removed in {REMOVAL_VERSION}; "
-        f"{replacement}",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
 
 class ExecutorError(SupervisionError):
     """Specs exhausted their retry budget under some executor.
@@ -83,28 +64,6 @@ class ExecutorError(SupervisionError):
     same way it already handles local ones.  ``failed`` maps spec to
     failure kind, exactly like the parent.
     """
-
-
-@dataclass(frozen=True)
-class ExecutorConfig:
-    """Execution policy shared by every backend.
-
-    These are the knobs the scheduler used to pass straight into
-    :class:`Supervisor`; an executor interprets them in its own terms
-    (``jobs`` is pool width locally, irrelevant to a cluster whose
-    width is whatever workers connect; ``hang_grace`` arms the local
-    heartbeat watchdog or the remote-lease staleness check).
-    """
-
-    jobs: int = 1
-    timeout: Optional[float] = None
-    retries: int = 2
-    backoff: float = 0.25
-    hang_grace: Optional[float] = None
-    fault_plan: Optional[FaultPlan] = None
-
-    def with_timeout(self, timeout: Optional[float]) -> "ExecutorConfig":
-        return replace(self, timeout=timeout)
 
 
 @dataclass(frozen=True)
@@ -124,9 +83,9 @@ class ExecutorStats:
 class Executor:
     """Abstract execution backend for the batch scheduler.
 
-    Lifecycle: construct → :meth:`bind` once (the scheduler wires in
-    its worker callable and completion plumbing) → any number of
-    ``submit×N; drain()`` rounds → :meth:`close`.  :meth:`cancel` may
+    Lifecycle: construct → :meth:`bind` once (the caller wires in its
+    completion plumbing) → any number of ``submit×N; drain()`` rounds
+    → :meth:`close`.  :meth:`cancel` may
     arrive from another thread at any point and must make the active
     (or next) drain wind down at a cell boundary and raise
     :class:`KeyboardInterrupt`, matching the Supervisor stop protocol
@@ -137,8 +96,6 @@ class Executor:
 
     def __init__(self, config: Optional[ExecutorConfig] = None) -> None:
         self.config = config if config is not None else ExecutorConfig()
-        self._worker: Optional[Callable] = None
-        self._validate: Optional[Callable] = None
         self._on_result: Optional[Callable] = None
         self._report: Optional[RunReport] = None
         self._report_path = None
@@ -147,25 +104,27 @@ class Executor:
     def bind(
         self,
         *,
-        worker: Callable,
-        validate: Optional[Callable] = None,
-        on_result: Optional[Callable] = None,
+        on_result: Callable,
         report: Optional[RunReport] = None,
         report_path=None,
         tracer=None,
     ) -> "Executor":
-        """Wire in the scheduler's worker callable and result plumbing.
+        """Wire in the caller's result plumbing.
 
+        ``on_result(cell, result)`` receives each finished cell;
         ``tracer`` is the scheduler's :class:`~repro.obs.spans.SpanTracer`
         or ``None``; backends emit attempt/lease spans only when set.
         """
-        self._worker = worker
-        self._validate = validate
         self._on_result = on_result
         self._report = report
         self._report_path = report_path
         self._tracer = tracer
         return self
+
+    @staticmethod
+    def validate(result) -> bool:
+        """Whether a worker's return is a usable result (else retried)."""
+        return isinstance(result, SystemResult)
 
     # -- the protocol --------------------------------------------------- #
 
@@ -195,20 +154,16 @@ class Executor:
     def close(self) -> None:
         """Release backend resources (listeners, connections, pools)."""
 
-    # Supervisor-compatible alias: the scheduler's abort path predates
-    # the protocol and anything holding a backend reference may still
-    # speak the old verb.
-    def request_stop(self) -> None:
-        self.cancel()
-
 
 class LocalPoolExecutor(Executor):
-    """Today's execution path behind the protocol — bit-identical.
+    """The local process pool behind the protocol.
 
-    Each drain constructs a :class:`Supervisor` with exactly the kwargs
-    the scheduler passed before the refactor and runs the buffered
-    cells through it; payloads, retry charging, pool recovery, the
-    report and the stop protocol are all the Supervisor's, untouched.
+    Each drain constructs a :class:`Supervisor` from the config and runs
+    the buffered cells through :func:`run_payload`; payloads, retry
+    charging, pool recovery, the report and the stop protocol are all
+    the Supervisor's.  Cells are opaque keys — the scheduler submits
+    :class:`~repro.api.spec.RunSpec` objects, the experiment runner
+    ``(codes, scheme)`` tuples.
     """
 
     kind = "local"
@@ -224,7 +179,7 @@ class LocalPoolExecutor(Executor):
         self._buffer[cell] = payload
 
     def drain(self, timeout=_UNSET) -> dict:
-        if self._worker is None:
+        if self._on_result is None:
             raise RuntimeError("executor is not bound; call bind() first")
         buffer, self._buffer = self._buffer, {}
         if not buffer:
@@ -262,11 +217,10 @@ class LocalPoolExecutor(Executor):
                 span = spans.pop(cell, None)
                 if span is not None:
                     tracer.finish(span, status="ok")
-                if inner is not None:
-                    inner(cell, result)
+                inner(cell, result)
 
         supervisor = Supervisor(
-            self._worker,
+            run_payload,
             payload_fn,
             jobs=self.config.jobs,
             timeout=self.config.timeout if timeout is _UNSET else timeout,
@@ -274,7 +228,7 @@ class LocalPoolExecutor(Executor):
             backoff=self.config.backoff,
             fault_plan=self.config.fault_plan,
             hang_grace=self.config.hang_grace,
-            validate=self._validate,
+            validate=self.validate,
             on_result=on_result,
             report=self._report,
             report_path=self._report_path,

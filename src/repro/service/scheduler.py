@@ -19,11 +19,12 @@ pool into a *service* for them:
 * **Prioritisation** — lower ``priority`` values run earlier (ties in
   submission order); a duplicate submission at a more urgent priority
   promotes the queued spec.
-* **Supervised fan-out** — execution goes through the existing
-  :class:`~repro.experiments.supervision.Supervisor`: worker pool,
-  per-spec timeouts, bounded retry, pool-death recovery.  The specs
-  themselves are the supervisor's cells, so one drained batch can mix
-  quotas, scales and cache sizes freely.
+* **Supervised fan-out** — execution goes through an
+  :class:`~repro.service.executor.Executor` (by default the local
+  pool's :class:`~repro.experiments.supervision.Supervisor`): worker
+  pool, per-spec timeouts, bounded retry, pool-death recovery.  The
+  specs themselves are the supervisor's cells, so one drained batch can
+  mix quotas, scales and cache sizes freely.
 * **Graceful shutdown** — ``close(drain=True)`` finishes everything
   queued; ``close(drain=False)`` (the SIGINT path of ``repro serve`` /
   ``repro batch``) cancels queued work, stops the in-flight batch at
@@ -51,14 +52,9 @@ from typing import Iterable, Optional, Sequence
 from repro.api.spec import RunSpec
 from repro.experiments.faults import fault_plan_from_env
 from repro.experiments.parallel import ResultCache
-from repro.experiments.runner import simulate_spec
+from repro.experiments.runner import materialize_traces
 from repro.experiments.supervision import RunReport, SupervisionError
-from repro.service.executor import (
-    _UNSET,
-    ExecutorConfig,
-    make_executor,
-    warn_legacy,
-)
+from repro.service.executor import ExecutorConfig, make_executor
 from repro.service.durability import (
     AdmissionController,
     AdmissionRejected,
@@ -69,8 +65,6 @@ from repro.service.durability import (
     JournalError,
 )
 from repro.sim.results import SystemResult
-from repro.sim.config import ScaleModel
-from repro.workloads.mixes import make_workloads
 from repro.workloads.trace_cache import env_enabled, get_trace_cache
 
 
@@ -186,40 +180,6 @@ class _Entry:
         self.span = None  # live cell span, only when tracing is on
 
 
-def _run_spec(payload: dict):
-    """Worker entry point: rebuild the spec and simulate it.
-
-    Module-level and primitive-parameterised (picklable under any
-    multiprocessing start method).  Honours an injected fault payload
-    like the parallel runner's worker, so chaos plans cover the service
-    path too.
-    """
-    spec = RunSpec.from_dict(payload["spec"])
-    heartbeat = payload.get("heartbeat")
-    if heartbeat:
-        from repro.service.durability import beat
-
-        beat(heartbeat)
-    try:
-        fault = payload.get("fault")
-        if fault is not None:
-            from repro.experiments.faults import apply_fault
-
-            injected = apply_fault(
-                fault,
-                in_process=payload.get("fault_in_process", False),
-                heartbeat=heartbeat,
-            )
-            if injected is not None:
-                return spec, injected
-        return spec, simulate_spec(spec)
-    finally:
-        if heartbeat:
-            from repro.service.durability import HEARTBEAT_IDLE, beat
-
-            beat(heartbeat, HEARTBEAT_IDLE)
-
-
 def _notify_cancel(future: Future) -> None:
     """Cancel a future *and complete the handshake*.
 
@@ -253,13 +213,10 @@ class BatchScheduler:
         cache_dir: str | os.PathLike | None = None,
         timeout: Optional[float] = None,
         retries: int = 2,
-        backoff=_UNSET,
         report_path: str | os.PathLike | None = None,
         metrics_path: str | os.PathLike | None = None,
         journal_dir: str | os.PathLike | None = None,
         journal: bool = True,
-        fault_plan=_UNSET,
-        hang_grace=_UNSET,
         max_queue_depth: Optional[int] = None,
         max_bytes: Optional[int] = None,
         shed_policy: str = "reject",
@@ -284,21 +241,7 @@ class BatchScheduler:
         self.tracer = tracer
         self.spans_path = spans_path
         self._span_specs: dict[str, RunSpec] = {}  # cell span_id -> spec
-        # Legacy execution-policy kwargs (pre-Executor API): honoured,
-        # but deprecated in favour of ``executor_options`` — the same
-        # once-per-process warning policy as the runner's legacy shims.
         options = dict(executor_options or {})
-        for name, value in (
-            ("backoff", backoff),
-            ("fault_plan", fault_plan),
-            ("hang_grace", hang_grace),
-        ):
-            if value is not _UNSET:
-                warn_legacy(
-                    f"BatchScheduler({name}=...)",
-                    f"pass executor_options={{'{name}': ...}} instead",
-                )
-                options.setdefault(name, value)
         self.cache = ResultCache(cache_dir) if cache_dir is not None else None
         if cache_dir is not None and env_enabled():
             # Share one disk root with the result cache: trace buffers
@@ -348,8 +291,6 @@ class BatchScheduler:
             }
         )
         self.executor.bind(
-            worker=_run_spec,
-            validate=lambda result: isinstance(result, SystemResult),
             on_result=lambda spec, result: self._resolve(
                 spec, result, simulated=True
             ),
@@ -383,21 +324,6 @@ class BatchScheduler:
         self._thread: Optional[threading.Thread] = None
         if start:
             self.start()
-
-    # Legacy attribute views: execution policy now lives on the
-    # executor's config, but pre-Executor callers read it off the
-    # scheduler directly.
-    @property
-    def backoff(self) -> float:
-        return self.executor.config.backoff
-
-    @property
-    def fault_plan(self):
-        return self.executor.config.fault_plan
-
-    @property
-    def hang_grace(self) -> Optional[float]:
-        return self.executor.config.hang_grace
 
     # ------------------------------------------------------------------ #
     # Submission side
@@ -817,29 +743,17 @@ class BatchScheduler:
         started = time.monotonic()
         self._batch_started = {entry.spec: started for entry in todo}
 
-        # Materialize each distinct workload's record streams once before
-        # the fan-out; specs differing only in scheme or cache size share
-        # buffers (content digests dedup them).  The local pool forks
-        # after this point, so its workers inherit the memo; remote
-        # workers regenerate, bit-identical because traces are
-        # deterministic functions of the spec.
-        if env_enabled():
-            trace_cache = get_trace_cache()
-            materialize_span = None
-            if self.tracer is not None:
-                materialize_span = self.tracer.begin("materialize", batch_span)
-            streams = dict.fromkeys(
-                (spec.mix, spec.scale, spec.seed, spec.quota, spec.warmup)
-                for spec in (entry.spec for entry in todo)
-                if spec.trace_cache is not False
-            )
-            for mix, scale, seed, quota, warmup in streams:
-                trace_cache.materialize_for_run(
-                    make_workloads(mix, ScaleModel(scale)), seed, quota, warmup
-                )
-            trace_cache.persist()
-            if materialize_span is not None:
-                self.tracer.finish(materialize_span, streams=len(streams))
+        # Materialize each distinct record stream once before the
+        # fan-out.  The local pool forks after this point, so its
+        # workers inherit the memo; remote workers regenerate,
+        # bit-identical because traces are deterministic functions of
+        # the spec.
+        materialize_span = None
+        if self.tracer is not None:
+            materialize_span = self.tracer.begin("materialize", batch_span)
+        streams = materialize_traces(entry.spec for entry in todo)
+        if materialize_span is not None:
+            self.tracer.finish(materialize_span, streams=streams)
 
         # The tightest deadline in the batch caps the per-cell timeout:
         # a spec that cannot finish inside its budget should time out
@@ -902,7 +816,15 @@ class BatchScheduler:
         # crash in between just replays a pending spec the disk pre-pass
         # resolves without re-simulation.
         if self.cache is not None and simulated:
+            put_span = None
+            if self.tracer is not None:
+                with self._lock:
+                    owner = self._entries.get(spec)
+                if owner is not None and owner.span is not None:
+                    put_span = self.tracer.begin("result_put", owner.span)
             self.cache.put(spec.cache_key(), result)
+            if put_span is not None:
+                self.tracer.finish(put_span)
         with self._lock:
             entry = self._entries.pop(spec, None)
             self._results[spec] = result

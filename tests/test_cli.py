@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import _parse_mix, build_parser, main
+from repro.cli import build_parser, main
 
 
 def test_schemes_command(capsys):
@@ -33,19 +33,19 @@ def test_experiment_tab5(capsys):
 
 def test_bad_mix_rejected():
     with pytest.raises(SystemExit):
-        _parse_mix("abc")
+        main(["run", "--mix", "abc"])
 
 
 @pytest.mark.parametrize("text", ["", "   ", "471+", "+444", "471++444"])
 def test_empty_mix_components_get_usage_message(text):
     with pytest.raises(SystemExit) as excinfo:
-        _parse_mix(text)
+        main(["run", "--mix", text])
     assert "expected '+'-separated SPEC codes like 471+444" in str(excinfo.value)
 
 
 def test_non_numeric_mix_names_the_bad_part():
     with pytest.raises(SystemExit) as excinfo:
-        _parse_mix("abc+444")
+        main(["run", "--mix", "abc+444"])
     message = str(excinfo.value)
     assert "'abc' is not a number" in message
     assert "471+444" in message  # shows the expected shape

@@ -13,12 +13,7 @@ import pickle
 import pytest
 
 from repro.experiments.faults import Fault, FaultPlan
-from repro.experiments.parallel import (
-    ParallelRunner,
-    ResultCache,
-    cell_key,
-    runner_fingerprint,
-)
+from repro.experiments.parallel import ParallelRunner, ResultCache
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.supervision import SupervisionError
 from repro.sim.config import ScaleModel
@@ -98,7 +93,7 @@ def test_corrupted_cache_entry_is_quarantined_and_recomputed(
     runner = chaos_runner(tmp_path, plan=None, jobs=1)
     runner.prewarm([MIX], [SCHEME])
     # Flip bytes inside one entry's payload (checksum now mismatches).
-    key = cell_key(runner_fingerprint(runner), *CELLS[0])
+    key = runner.spec(*CELLS[0]).cache_key()
     path = tmp_path / key[:2] / f"{key}.pkl"
     data = bytearray(path.read_bytes())
     data[-10] ^= 0xFF

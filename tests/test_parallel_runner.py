@@ -13,13 +13,7 @@ import pickle
 
 import pytest
 
-from repro.experiments.parallel import (
-    ParallelRunner,
-    ResultCache,
-    cell_key,
-    make_runner,
-    runner_fingerprint,
-)
+from repro.experiments.parallel import ParallelRunner, ResultCache, make_runner
 from repro.experiments.runner import ExperimentRunner
 from repro.sim.config import ScaleModel
 
@@ -86,29 +80,29 @@ def test_outcome_metrics_match_serial(warm_cache_dir):
 def test_prewarm_covers_baseline_and_alone_cells(warm_cache_dir):
     cache_dir, _ = warm_cache_dir
     cache = ResultCache(cache_dir)
-    fingerprint = runner_fingerprint(ExperimentRunner(**PARAMS))
+    runner = ExperimentRunner(**PARAMS)
     for codes, scheme in CELLS:
-        assert cache.get(cell_key(fingerprint, codes, scheme)) is not None
+        assert cache.get(runner.spec(codes, scheme).cache_key()) is not None
 
 
 def test_any_parameter_change_changes_the_key():
-    base = runner_fingerprint(ExperimentRunner(**PARAMS))
-    key = cell_key(base, MIX, SCHEME)
+    base = ExperimentRunner(**PARAMS)
+    key = base.spec(MIX, SCHEME).cache_key()
     for change in (
         dict(seed=8),
         dict(quota=4_000),
         dict(warmup=2_000),
         dict(scale=ScaleModel(1 / 16)),
     ):
-        other = runner_fingerprint(ExperimentRunner(**{**PARAMS, **change}))
-        assert cell_key(other, MIX, SCHEME) != key
-    assert cell_key(base, MIX, "avgcc") != key
-    assert cell_key(base, (444, 471), SCHEME) != key
+        other = ExperimentRunner(**{**PARAMS, **change})
+        assert other.spec(MIX, SCHEME).cache_key() != key
+    assert base.spec(MIX, "avgcc").cache_key() != key
+    assert base.spec((444, 471), SCHEME).cache_key() != key
 
 
 def test_corrupt_cache_entry_is_a_miss(tmp_path):
     cache = ResultCache(tmp_path)
-    key = cell_key(runner_fingerprint(ExperimentRunner(**PARAMS)), MIX, SCHEME)
+    key = ExperimentRunner(**PARAMS).spec(MIX, SCHEME).cache_key()
     path = tmp_path / key[:2] / f"{key}.pkl"
     path.parent.mkdir(parents=True)
     path.write_bytes(b"not a pickle")
@@ -136,10 +130,8 @@ def entry_path(cache_dir, key):
 
 
 def any_warm_key(cache_dir):
-    fingerprint = runner_fingerprint(ExperimentRunner(**PARAMS))
-    return cell_key(fingerprint, *CELLS[0]), entry_path(
-        cache_dir, cell_key(fingerprint, *CELLS[0])
-    )
+    key = ExperimentRunner(**PARAMS).spec(*CELLS[0]).cache_key()
+    return key, entry_path(cache_dir, key)
 
 
 def test_entries_carry_magic_and_verified_checksum(warm_cache_dir):
@@ -177,7 +169,7 @@ def test_unchecksummed_v1_style_entry_misses_cleanly(tmp_path):
     import pickle
 
     cache = ResultCache(tmp_path)
-    key = cell_key(runner_fingerprint(ExperimentRunner(**PARAMS)), MIX, SCHEME)
+    key = ExperimentRunner(**PARAMS).spec(MIX, SCHEME).cache_key()
     path = entry_path(tmp_path, key)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_bytes(pickle.dumps({"v1": "raw pickle, no magic/checksum"}))
@@ -185,10 +177,9 @@ def test_unchecksummed_v1_style_entry_misses_cleanly(tmp_path):
 
 
 def test_format_version_bumped_for_checksummed_layout():
-    from repro.experiments.parallel import _FORMAT_VERSION
+    from repro.api.spec import CACHE_FORMAT_VERSION
 
-    assert _FORMAT_VERSION >= 2
-    assert runner_fingerprint(ExperimentRunner(**PARAMS))[0] == _FORMAT_VERSION
+    assert CACHE_FORMAT_VERSION >= 2
 
 
 def test_stale_tmp_files_are_swept_on_init(tmp_path):
@@ -212,7 +203,7 @@ def test_put_cleans_up_tmp_when_replace_fails(tmp_path, monkeypatch):
     runner = ExperimentRunner(**PARAMS)
     result = runner.run((471,), "baseline")
     cache = ResultCache(tmp_path)
-    key = cell_key(runner_fingerprint(runner), (471,), "baseline")
+    key = runner.spec((471,), "baseline").cache_key()
 
     def boom(src, dst):
         raise OSError("injected replace failure")

@@ -1,8 +1,11 @@
 """ExperimentRunner: caching, normalisation, shared scheme."""
 
+import warnings
+
 import pytest
 
-from repro.experiments.runner import ExperimentRunner, run_mix
+from repro.api import RunSpec
+from repro.experiments.runner import ExperimentRunner, run_mix, simulate_spec
 
 
 def small_runner(**kw):
@@ -42,5 +45,14 @@ def test_shared_scheme_builds_shared_hierarchy():
 
 
 def test_run_mix_wrapper():
-    out = run_mix((444, 445), scheme="baseline", runner=small_runner())
+    out = run_mix(RunSpec(mix=(444, 445), scheme="baseline"), runner=small_runner())
     assert out.result.workload == "444+445"
+
+
+def test_spec_path_is_warning_clean():
+    spec = RunSpec(mix=(471, 444), scheme="baseline", quota=1_000, warmup=500)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("error", DeprecationWarning)
+        simulate_spec(spec)
+        run_mix(spec)
+    assert not caught

@@ -4,6 +4,7 @@ import io
 import json
 import threading
 import urllib.request
+import warnings
 
 import pytest
 
@@ -181,6 +182,27 @@ def test_metrics_snapshot_renders_prometheus(tmp_path):
     assert "repro_service_executed_total 4" in text
     assert 'repro_service_latency_seconds{scheme="avgcc",quantile="0.5"}' in text
     assert stats.latency["avgcc"]["count"] == 2
+
+
+def test_scheduler_executor_options_path_is_warning_clean():
+    from repro.experiments.faults import FaultPlan
+
+    plan = FaultPlan.from_spec("crash=1", seed=3)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("error", DeprecationWarning)
+        sched = BatchScheduler(
+            start=False,
+            executor_options={
+                "hang_grace": 1.5,
+                "backoff": 0.1,
+                "fault_plan": plan,
+            },
+        )
+    assert not caught
+    assert sched.executor.config.hang_grace == 1.5
+    assert sched.executor.config.backoff == 0.1
+    assert sched.executor.config.fault_plan is plan
+    sched.close(drain=False)
 
 
 # --------------------------------------------------------------------- #

@@ -271,6 +271,35 @@ def test_drain_rounds_trace_materialize_and_journal(tmp_path):
         assert parents == Counter(rounds), name
 
 
+def test_result_put_is_one_child_span_per_simulated_cell(tmp_path):
+    cache_dir = tmp_path / "cache"
+    specs = [spec(), spec(scheme="baseline"), spec(), spec(mix="444+445")]
+    _outcomes, stats, _report, records = run_traced(
+        tmp_path, specs, jobs=2, cache_dir=cache_dir
+    )
+    assert stats.executed == 3 and stats.dedup_hits == 1
+    by_id = {r["span_id"]: r for r in records}
+    puts = [r for r in records if r["name"] == "result_put"]
+    assert len(puts) == 3
+    cells = Counter(r["parent_id"] for r in puts)
+    simulated = [
+        r["span_id"]
+        for r in records
+        if r["name"] == "cell" and r.get("source") == "simulated"
+    ]
+    assert cells == Counter(simulated)
+    assert all(by_id[r["parent_id"]]["name"] == "cell" for r in puts)
+
+    # A warm re-run resolves every cell from the disk cache: nothing is put.
+    rerun = tmp_path / "rerun"
+    rerun.mkdir()
+    _outcomes, stats, _report, records = run_traced(
+        rerun, specs, jobs=2, cache_dir=cache_dir
+    )
+    assert stats.executed == 0 and stats.cache_hits == 3
+    assert not [r for r in records if r["name"] == "result_put"]
+
+
 def test_tracing_does_not_change_digests(tmp_path):
     specs = [spec(), spec(scheme="baseline")]
     plain, _s, _r = run_batch(specs, jobs=1)

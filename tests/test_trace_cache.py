@@ -14,6 +14,7 @@ from random import Random
 import pytest
 
 from repro.api.spec import RunSpec
+from repro.experiments.runner import materialize_traces, replays_traces
 from repro.experiments.supervision import Supervisor
 from repro.workloads.mixes import make_workloads
 from repro.workloads.trace_cache import (
@@ -186,6 +187,25 @@ def test_trace_cache_knob_outside_result_cache_key():
     assert RunSpec.from_dict(on.to_dict()).trace_cache is True
     assert RunSpec.from_dict(off.to_dict()).trace_cache is False
     assert RunSpec.from_dict(default.to_dict()).trace_cache is None
+
+
+@pytest.mark.parametrize("flag, trace_cache", [("0", True), ("1", False)])
+def test_parent_materializes_exactly_what_workers_replay(monkeypatch, flag, trace_cache):
+    """The spec's own ``trace_cache`` wins over the environment flag on
+    both sides of the fork: a stream the workers will replay is built in
+    the parent, and one they will not replay is never built."""
+    monkeypatch.setenv("REPRO_TRACE_CACHE", flag)
+    reset_trace_cache()
+    try:
+        spec = RunSpec(mix=MIX, quota=QUOTA, warmup=WARMUP, trace_cache=trace_cache)
+        assert replays_traces(spec) is trace_cache
+        # Two schemes, one stream per core.
+        streams = materialize_traces([spec, spec.replace(scheme="baseline")])
+        assert streams == (1 if trace_cache else 0)
+        materialized = get_trace_cache().stats["materialized"]
+        assert materialized == (len(MIX) if trace_cache else 0)
+    finally:
+        reset_trace_cache()
 
 
 def test_env_flag_parsing(monkeypatch):
