@@ -8,8 +8,8 @@ timeouts, retries, reporting) once, then answers any
   cached :class:`~repro.experiments.runner.ExperimentRunner` (or its
   supervised parallel subclass when any knob is set);
 * ``prewarm(specs)`` — a whole batch at once: the specs are grouped by
-  their simulation parameters, each group fanned out through the
-  supervised pool, baselines and stand-alone runs included;
+  their simulation parameters, each group fanned out in one drain of
+  the supervised pool, baselines and stand-alone runs included;
 * ``stats(spec)`` / ``trace(spec)`` — the same simulation with interval
   telemetry or event tracing attached (bit-identical by the observer
   contract).
@@ -152,29 +152,17 @@ class Session:
     def prewarm(self, specs: Iterable[RunSpec]) -> list:
         """Bulk-simulate a batch of specs (plus their baselines).
 
-        Specs are grouped by simulation parameters; each group goes
-        through its runner's ``prewarm`` (the supervised fan-out on a
-        parallel runner).  Returns the per-group reports —
+        Specs are grouped by simulation parameters; each group's exact
+        cells go through its runner's ``prewarm_cells`` (one supervised
+        drain on a parallel runner), so a ragged batch simulates no cell
+        it did not ask for.  Returns one report per group —
         :class:`~repro.experiments.supervision.RunReport` instances for
         supervised runners, ``None`` for plain serial ones.
         """
-        reports = []
-        for runner, group in self._grouped(specs):
-            schemes = list(dict.fromkeys(spec.scheme for spec in group))
-            by_scheme: dict[str, list] = {scheme: [] for scheme in schemes}
-            for spec in group:
-                if spec.mix not in by_scheme[spec.scheme]:
-                    by_scheme[spec.scheme].append(spec.mix)
-            mixes = list(dict.fromkeys(spec.mix for spec in group))
-            cells = {(spec.mix, spec.scheme) for spec in group}
-            if cells == {(mix, scheme) for mix in mixes for scheme in schemes}:
-                # A full product: one fan-out covers the whole group.
-                reports.append(runner.prewarm(mixes, schemes))
-            else:
-                # Ragged batch: fan out per scheme with its own mixes.
-                for scheme in schemes:
-                    reports.append(runner.prewarm(by_scheme[scheme], [scheme]))
-        return reports
+        return [
+            runner.prewarm_cells((spec.mix, spec.scheme) for spec in group)
+            for runner, group in self._grouped(specs)
+        ]
 
     def run_many(
         self, specs: Iterable[RunSpec]

@@ -191,8 +191,8 @@ class ParallelRunner(ExperimentRunner):
 
     Drop-in replacement for :class:`ExperimentRunner`: ``run``/``outcome``
     keep their lazy, serial semantics (plus disk-cache lookups), while
-    ``prewarm`` — called by the experiment drivers before a matrix — bulk
-    simulates whatever is missing through a
+    ``prewarm``/``prewarm_cells`` — called by the experiment drivers
+    before a matrix — bulk simulates whatever is missing through a
     :class:`~repro.service.executor.LocalPoolExecutor` (timeouts,
     retries, pool recovery, graceful interruption) and returns the
     :class:`~repro.experiments.supervision.RunReport`.
@@ -261,22 +261,23 @@ class ParallelRunner(ExperimentRunner):
             get_trace_cache().persist()
         return result
 
-    def prewarm(
-        self, mixes: Iterable[Sequence[int]], schemes: Iterable[str]
-    ) -> RunReport:
-        """Simulate the matrix's missing cells under supervision.
+    def prewarm_cells(self, cells: Iterable[tuple[Sequence[int], str]]) -> RunReport:
+        """Simulate the missing ones of ``cells`` under supervision.
 
-        Besides each (mix, scheme) cell this covers what ``outcome`` will
-        ask for next: the mix's baseline and every member's stand-alone
-        baseline run.  Finished cells are stored (and disk-cached) the
+        Besides each ``(codes, scheme)`` cell this covers what
+        ``outcome`` will ask for next: the mix's baseline and every
+        member's stand-alone baseline run.  All of them go through one
+        executor drain, on one process pool that is shut down before
+        this returns.  Finished cells are stored (and disk-cached) the
         moment they complete, so an interrupted sweep resumes from the
         cache; the returned :class:`RunReport` (also written as JSON next
         to the cache) records per-cell attempts, sources and failures.
         """
-        schemes = list(schemes)
+        by_mix: dict[tuple[int, ...], list[str]] = {}
+        for codes, scheme in cells:
+            by_mix.setdefault(tuple(codes), []).append(scheme)
         wanted: dict[Cell, None] = {}  # insertion-ordered set
-        for mix in mixes:
-            codes = tuple(mix)
+        for codes, schemes in by_mix.items():
             for scheme in schemes:
                 wanted[(codes, scheme)] = None
             wanted[(codes, "baseline")] = None
@@ -333,7 +334,10 @@ class ParallelRunner(ExperimentRunner):
                 )
                 for cell, spec in missing.items():
                     executor.submit(cell, {"spec": spec.to_dict()})
-                executor.drain()
+                try:
+                    executor.drain()
+                finally:
+                    executor.close()
             else:
                 report.finalize()
                 if self.report_path is not None:

@@ -272,10 +272,20 @@ class ExperimentRunner:
     def prewarm(self, mixes: Iterable[Sequence[int]], schemes: Iterable[str]):
         """Hint that a (mix x scheme) matrix is about to be evaluated.
 
+        The full product is one case of :meth:`prewarm_cells`.
+        """
+        schemes = list(schemes)
+        return self.prewarm_cells(
+            (tuple(mix), scheme) for mix in mixes for scheme in schemes
+        )
+
+    def prewarm_cells(self, cells: Iterable[tuple[Sequence[int], str]]):
+        """Hint that these ``(codes, scheme)`` cells are about to be evaluated.
+
         The serial runner computes cells lazily, so this is a no-op
         returning ``None``; :class:`repro.experiments.parallel.ParallelRunner`
         overrides it to fan the missing cells out across supervised worker
-        processes and returns the run's
+        processes in one drain and returns the run's
         :class:`~repro.experiments.supervision.RunReport`.
         """
         return None

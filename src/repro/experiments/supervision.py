@@ -51,7 +51,7 @@ import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -70,6 +70,35 @@ _POOL_CONTEXT = (
 
 #: Sentinel distinguishing "no handler installed" from SIG_DFL/None.
 _UNSET = object()
+
+
+def spawn_pool(jobs: int) -> ProcessPoolExecutor:
+    """A ``jobs``-wide worker pool.
+
+    Workers are forked where the platform can: callers materialize
+    trace buffers before the pool's first submit (when a fork pool
+    starts its workers), and forked workers inherit them (see
+    :mod:`repro.workloads.trace_cache`).  Elsewhere the default start
+    method runs and workers regenerate their traces.
+    """
+    return ProcessPoolExecutor(max_workers=jobs, mp_context=_POOL_CONTEXT)
+
+
+def kill_pool(pool: ProcessPoolExecutor) -> None:
+    """Shut ``pool`` down without waiting on (possibly hung) workers."""
+    # Grab worker handles before shutdown clears them; terminate so
+    # hung workers (sleeping past their timeout) die immediately.
+    procs_attr = getattr(pool, "_processes", None)
+    procs = list(procs_attr.values()) if isinstance(procs_attr, dict) else []
+    manager = getattr(pool, "_executor_manager_thread", None)
+    pool.shutdown(wait=False, cancel_futures=True)
+    for proc in procs:
+        if proc.is_alive():
+            proc.terminate()
+    if manager is not None:
+        # The pool's manager thread reaps the terminated workers; wait
+        # for it so none lingers as a child process.
+        manager.join(2.0)
 
 
 def cell_parts(cell) -> tuple[tuple, str]:
@@ -344,9 +373,6 @@ class ExecutorConfig:
     hang_grace: Optional[float] = None
     fault_plan: Optional[FaultPlan] = None
 
-    def with_timeout(self, timeout: Optional[float]) -> "ExecutorConfig":
-        return replace(self, timeout=timeout)
-
 
 class Supervisor:
     """Runs cells through a worker with timeouts, retries and recovery.
@@ -358,6 +384,14 @@ class Supervisor:
     ``jobs <= 1`` everything runs in-process (no pool, no timeout
     enforcement — there is no second process to cancel), which is also
     the degraded mode entered after repeated pool deaths.
+
+    ``pool`` lends the run a live pool (a long-lived executor's): the
+    run uses it instead of spawning one, and a clean run leaves its
+    surviving pool — the lent one, or the last respawn after a recycle
+    — in :attr:`pool` for the lender to reuse.  A stopped run, or one
+    that ends with cells still in flight, kills the pool and leaves
+    :attr:`pool` ``None``.  Without a lent pool the run spawns its own
+    and shuts it down at the end.
     """
 
     def __init__(
@@ -377,6 +411,7 @@ class Supervisor:
         report: Optional[RunReport] = None,
         report_path: Optional[str | os.PathLike] = None,
         stream=None,
+        pool: Optional[ProcessPoolExecutor] = None,
     ) -> None:
         self.worker = worker
         self.payload_fn = payload_fn
@@ -398,6 +433,8 @@ class Supervisor:
         self.report = report if report is not None else RunReport()
         self.report_path = report_path
         self.stream = stream
+        self.pool = pool
+        self._lent = pool is not None
         self._stop = False
         self._attempts: dict = {}
         self._results: dict = {}
@@ -537,7 +574,11 @@ class Supervisor:
     def _run_pool(self, pending: deque) -> None:
         if self.hang_grace is not None:
             self._hb_dir = tempfile.mkdtemp(prefix="repro-hb-")
-        pool = self._make_pool()
+        if self.pool is not None:
+            pool, self.pool = self.pool, None
+            self._arm_watchdog(pool)
+        else:
+            pool = self._make_pool()
         inflight: dict = {}  # future -> (cell, deadline, submitted_at)
         try:
             while (pending or inflight) and not self._stop:
@@ -579,7 +620,9 @@ class Supervisor:
             self._disarm_watchdog()
             if pool is not None:
                 if self._stop or inflight:
-                    self._kill_pool(pool)  # don't wait on hung workers
+                    kill_pool(pool)  # don't wait on hung workers
+                elif self._lent:
+                    self.pool = pool  # back to the lender, warm
                 else:
                     pool.shutdown(wait=True)
             if self._hb_dir is not None:
@@ -650,7 +693,7 @@ class Supervisor:
             self._uncharge(cell)
             pending.append((cell, 0.0))
             self._enqueued[cell] = now
-        self._kill_pool(pool)
+        kill_pool(pool)
         if death:
             self.report.pool_deaths += 1
             self._pool_deaths += 1
@@ -659,30 +702,36 @@ class Supervisor:
         return self._make_pool()
 
     def _make_pool(self):
-        """Spawn a fresh pool and (re)arm the heartbeat watchdog on it.
+        """Spawn a fresh pool (see :func:`spawn_pool`) and arm the
+        heartbeat watchdog on it.
+
+        Inside a run this is every recycle's respawn; a run without a
+        lent pool also starts on one.
+        """
+        pool = spawn_pool(self.jobs)
+        self._arm_watchdog(pool)
+        return pool
+
+    def _arm_watchdog(self, pool) -> None:
+        """(Re)arm the heartbeat watchdog on ``pool`` for this run.
 
         Heartbeat files are cleared first — pids can be reused across
         pool generations, and a stale "busy" beat from a dead worker
-        must never condemn its successor.
-
-        Workers are forked where the platform can: callers materialize
-        trace buffers before the pool starts, and forked workers inherit
-        them (see :mod:`repro.workloads.trace_cache`).  Elsewhere the
-        default start method runs and workers regenerate their traces.
+        must never condemn its successor.  A lent pool is armed afresh
+        by every run, on that run's own heartbeat directory.
         """
-        pool = ProcessPoolExecutor(max_workers=self.jobs, mp_context=_POOL_CONTEXT)
-        if self._hb_dir is not None:
-            from repro.service.durability import WorkerWatchdog, clear_heartbeats
+        if self._hb_dir is None:
+            return
+        from repro.service.durability import WorkerWatchdog, clear_heartbeats
 
-            self._disarm_watchdog()
-            clear_heartbeats(self._hb_dir)
-            self._watchdog = WorkerWatchdog(
-                self._hb_dir,
-                self.hang_grace,
-                lambda: getattr(pool, "_processes", None),
-                on_kill=self._on_watchdog_kill,
-            ).start()
-        return pool
+        self._disarm_watchdog()
+        clear_heartbeats(self._hb_dir)
+        self._watchdog = WorkerWatchdog(
+            self._hb_dir,
+            self.hang_grace,
+            lambda: getattr(pool, "_processes", None),
+            on_kill=self._on_watchdog_kill,
+        ).start()
 
     def _on_watchdog_kill(self, pid: int) -> None:
         self.report.watchdog_kills += 1
@@ -691,16 +740,6 @@ class Supervisor:
         if self._watchdog is not None:
             self._watchdog.stop()
             self._watchdog = None
-
-    def _kill_pool(self, pool) -> None:
-        # Grab worker handles before shutdown clears them; terminate so
-        # hung workers (sleeping past their timeout) die immediately.
-        procs_attr = getattr(pool, "_processes", None)
-        procs = list(procs_attr.values()) if isinstance(procs_attr, dict) else []
-        pool.shutdown(wait=False, cancel_futures=True)
-        for proc in procs:
-            if proc.is_alive():
-                proc.terminate()
 
     def _degrade(self, pending: deque, inflight: dict) -> None:
         """Finish the sweep in-process after repeated pool deaths."""

@@ -20,10 +20,11 @@ four-method contract:
 Backends are interchangeable by construction:
 
 * :class:`LocalPoolExecutor` runs each drain under a
-  :class:`Supervisor` over a local process pool — the only place one is
-  built, for the batch scheduler and the experiment runner's ``prewarm``
-  alike, so ``--executor local`` stays bit-identical (the golden-digest
-  tests run unchanged against it).
+  :class:`Supervisor` over a local process pool it keeps warm from
+  drain to drain — the only place one is built, for the batch scheduler
+  and the experiment runner's ``prewarm`` alike, so ``--executor local``
+  stays bit-identical (the golden-digest tests run unchanged against
+  it).
 * :class:`~repro.cluster.ClusterExecutor` (see :mod:`repro.cluster`)
   fans the same payloads out to worker processes on other hosts over
   the length-prefixed wire protocol.
@@ -50,8 +51,11 @@ from repro.experiments.supervision import (
     SupervisionError,
     Supervisor,
     cell_name,
+    kill_pool,
+    spawn_pool,
 )
 from repro.sim.results import SystemResult
+from repro.workloads.trace_cache import get_trace_cache
 
 #: Distinguishes "kwarg not passed" from an explicit ``None``.
 _UNSET = object()
@@ -164,6 +168,18 @@ class LocalPoolExecutor(Executor):
     the Supervisor's.  Cells are opaque keys — the scheduler submits
     :class:`~repro.api.spec.RunSpec` objects, the experiment runner
     ``(codes, scheme)`` tuples.
+
+    With ``jobs > 1`` the executor owns one process pool for its
+    lifetime and lends it to every drain's Supervisor, so a drain round
+    costs a submit, not a pool spawn and shutdown.  The Supervisor's
+    recovery is unchanged: a stop, a timeout recycle or a broken pool
+    (including an idle worker that died between drains, which surfaces
+    at the next submit) kills and respawns the pool inside the run, and
+    the survivor comes back.  Forked workers hold only the trace streams
+    the parent had when they forked, so the pool is re-forked before a
+    drain whenever the parent's trace memo has taken in a stream since
+    (see :meth:`_lend_pool`).  :meth:`close` shuts the pool down, or
+    terminates it after :meth:`cancel`.
     """
 
     kind = "local"
@@ -174,6 +190,11 @@ class LocalPoolExecutor(Executor):
         self._buffer: dict = {}
         self._active: Optional[Supervisor] = None
         self._cancelled = False
+        self._closed = False
+        #: The warm pool between drains (``None`` while lent or unbuilt)
+        #: and the trace-memo state its workers forked with.
+        self._pool = None
+        self._pool_streams: Optional[tuple] = None
 
     def submit(self, cell, payload: dict) -> None:
         self._buffer[cell] = payload
@@ -222,6 +243,7 @@ class LocalPoolExecutor(Executor):
         supervisor = Supervisor(
             run_payload,
             payload_fn,
+            pool=self._lend_pool() if self.config.jobs > 1 else None,
             jobs=self.config.jobs,
             timeout=self.config.timeout if timeout is _UNSET else timeout,
             retries=self.config.retries,
@@ -242,9 +264,38 @@ class LocalPoolExecutor(Executor):
         finally:
             with self._lock:
                 self._active = None
+                pool, closed = supervisor.pool, self._closed
+                if not closed:
+                    self._pool = pool
+            if closed and pool is not None:
+                pool.shutdown(wait=True)
             if tracer is not None:
                 for span in spans.values():
                     tracer.finish(span, status="failed")
+
+    def _lend_pool(self):
+        """The warm pool for the next drain, re-forked if it is stale.
+
+        A pool's workers must hold every trace stream the drain
+        replays, and forked workers hold only what the parent's memo
+        had when they forked.  The memo's ``materialized`` and
+        ``disk_hits`` counters grow exactly when it takes in a stream,
+        so a pool whose workers forked at an older count (or under a
+        replaced global cache) is shut down and a fresh one spawned.
+        Re-forking (~11 ms) is cheaper than the alternatives: every
+        worker loading the stream from the disk layer or regenerating it.
+        """
+        cache = get_trace_cache()
+        streams = (id(cache), cache.stats["materialized"] + cache.stats["disk_hits"])
+        with self._lock:
+            pool, self._pool = self._pool, None
+        if pool is not None and streams != self._pool_streams:
+            pool.shutdown(wait=True)  # idle between drains: nothing to wait on
+            pool = None
+        if pool is None:
+            pool = spawn_pool(self.config.jobs)
+        self._pool_streams = streams
+        return pool
 
     def cancel(self) -> None:
         with self._lock:
@@ -254,6 +305,22 @@ class LocalPoolExecutor(Executor):
 
     def stats(self) -> ExecutorStats:
         return ExecutorStats(kind=self.kind)
+
+    def close(self) -> None:
+        """Shut the warm pool down; terminate it if cancelled.
+
+        A drain still running (a caller that gave up waiting) shuts its
+        pool down itself when it finishes.
+        """
+        with self._lock:
+            self._closed = True
+            pool, self._pool = self._pool, None
+        if pool is None:
+            return
+        if self._cancelled:
+            kill_pool(pool)
+        else:
+            pool.shutdown(wait=True)
 
 
 def make_executor(

@@ -20,6 +20,7 @@ Hypothesis runs under two registered profiles, selected by the
 
 import os
 import signal
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -71,3 +72,17 @@ def _per_test_timeout(request):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture()
+def pools_built(monkeypatch):
+    """Every ``ProcessPoolExecutor`` constructed while the test runs."""
+    built = []
+    original = ProcessPoolExecutor.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "__init__", counting)
+    return built

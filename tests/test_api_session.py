@@ -37,7 +37,7 @@ def test_runner_for_groups_by_parameters():
     assert session.runner_for(SPEC.replace(quota=3_000)) is not a
 
 
-def test_prewarm_full_product_and_ragged_batches(tmp_path):
+def test_prewarm_full_product_and_ragged_batches(tmp_path, pools_built):
     session = Session(cache_dir=tmp_path / "cells")
     full = [
         SPEC, SPEC.replace(scheme="baseline"),
@@ -50,6 +50,13 @@ def test_prewarm_full_product_and_ragged_batches(tmp_path):
     session.prewarm(ragged)
     for spec in full + ragged:
         assert session.result(spec).workload == "+".join(str(c) for c in spec.mix)
+
+    # A ragged group fans out in one drain, on one pool, simulating
+    # exactly its cells: 2 specs, 2 mix baselines, 3 stand-alone runs.
+    assert not pools_built  # the serial session above built none
+    reports = Session(jobs=2, cache_dir=tmp_path / "ragged").prewarm(ragged)
+    assert len(pools_built) == 1
+    assert [report.counts["simulated"] for report in reports] == [7]
 
 
 def test_run_many_yields_in_submission_order():

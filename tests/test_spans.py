@@ -291,11 +291,18 @@ def test_result_put_is_one_child_span_per_simulated_cell(tmp_path):
     assert all(by_id[r["parent_id"]]["name"] == "cell" for r in puts)
 
     # A warm re-run resolves every cell from the disk cache: nothing is put.
-    rerun = tmp_path / "rerun"
-    rerun.mkdir()
-    _outcomes, stats, _report, records = run_traced(
-        rerun, specs, jobs=2, cache_dir=cache_dir
+    # Every spec is queued before the scheduler starts, so the duplicate
+    # joins its twin's entry (a dedup hit) instead of racing the twin's
+    # disk-cache resolution (after which it would be a memory hit).
+    path = tmp_path / "rerun-spans.jsonl"
+    scheduler = BatchScheduler(
+        jobs=2, cache_dir=cache_dir, spans_path=path, start=False
     )
+    for s in specs:
+        scheduler.submit(s)
+    scheduler.start()
+    scheduler.close(drain=True)
+    stats, records = scheduler.stats(), load_spans(path)
     assert stats.executed == 0 and stats.cache_hits == 3
     assert not [r for r in records if r["name"] == "result_put"]
 

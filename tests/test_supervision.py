@@ -4,22 +4,34 @@ These tests drive the supervisor with a trivial picklable worker instead
 of real simulations, so every failure mode — injected via
 :class:`~repro.experiments.faults.FaultPlan` — is exercised in well under
 a second.  Real-simulation failure modes live in
-``test_failure_modes.py``.
+``test_failure_modes.py``.  The last section drives the warm pool a
+:class:`~repro.service.executor.LocalPoolExecutor` keeps across drains
+with small real simulations: reuse, the re-fork rule, recovery of an
+idle worker's death, the re-armed watchdog and clean shutdown.
 """
 
 import json
+import multiprocessing
 import os
 import signal
+import time
 
 import pytest
 
+import repro.service.executor as executor_module
+from repro.api import RunSpec, result_digest
 from repro.experiments.faults import Fault, FaultPlan, apply_fault
+from repro.experiments.runner import materialize_traces, run_payload, simulate_spec
 from repro.experiments.supervision import (
+    ExecutorConfig,
     RunReport,
     SupervisionError,
     Supervisor,
     cell_name,
 )
+from repro.service import BatchScheduler
+from repro.service.executor import LocalPoolExecutor
+from repro.workloads.trace_cache import get_trace_cache, reset_trace_cache
 
 CELLS = [((code,), "s") for code in (1, 2, 3, 4)]
 
@@ -200,3 +212,131 @@ def test_report_roundtrip_and_summary(tmp_path):
     by_status = {tuple(c["codes"]): c["status"] for c in data["cells"]}
     assert by_status == {(1,): "ok", (2,): "ok", (3,): "pending"}
     assert "3 cells" in report.summary()
+
+
+# --------------------------------------------------------------------- #
+# Warm local pool: one LocalPoolExecutor, many drains
+# --------------------------------------------------------------------- #
+
+WARM = RunSpec(mix=(471, 444), scheme="avgcc", quota=1_500, warmup=500)
+
+
+@pytest.fixture()
+def fresh_trace_cache():
+    reset_trace_cache()  # no cache_dir: the inherited memo is the only source
+    yield get_trace_cache()
+    reset_trace_cache()
+
+
+def local_executor(report=None, **config):
+    delivered = {}
+    executor = LocalPoolExecutor(ExecutorConfig(jobs=2, backoff=0.0, **config))
+    executor.bind(on_result=delivered.__setitem__, report=report)
+    return executor, delivered
+
+
+def drain_one(executor, spec):
+    """One drain round as the scheduler runs it: materialize, submit, drain."""
+    materialize_traces([spec])
+    executor.submit(spec, {"spec": spec.to_dict()})
+    return executor.drain()[spec]
+
+
+def _probe_run_payload(payload):
+    """Pool worker: ``run_payload`` plus the trace memo's stats around it."""
+    stats = get_trace_cache().stats
+    before = dict(stats)
+    spec, result = run_payload(payload)
+    result.probe = (before, dict(stats))
+    return spec, result
+
+
+def test_drains_without_a_new_stream_reuse_one_pool(pools_built, fresh_trace_cache):
+    executor, delivered = local_executor()
+    try:
+        specs = [WARM, WARM.replace(scheme="dsr"), WARM.replace(scheme="baseline")]
+        for spec in specs:  # one stream: the schemes share the mix's trace
+            drain_one(executor, spec)
+        assert len(pools_built) == 1
+    finally:
+        executor.close()
+    for spec in specs:
+        assert result_digest(delivered[spec]) == result_digest(simulate_spec(spec))
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="pool workers inherit the parent's memo only under fork",
+)
+def test_new_stream_reforks_and_workers_hit_the_inherited_memo(
+    monkeypatch, pools_built, fresh_trace_cache
+):
+    monkeypatch.setattr(executor_module, "run_payload", _probe_run_payload)
+    executor, _ = local_executor()
+    other = WARM.replace(mix=(444, 445))
+    try:
+        drain_one(executor, WARM)
+        assert len(pools_built) == 1
+        result = drain_one(executor, other)  # two new per-core streams
+        assert len(pools_built) == 2
+        before, after = result.probe
+        assert after["memo_hits"] == before["memo_hits"] + len(other.mix)
+        assert after["materialized"] == before["materialized"]
+        drain_one(executor, other.replace(scheme="dsr"))  # nothing new
+        assert len(pools_built) == 2
+    finally:
+        executor.close()
+
+
+def test_idle_worker_killed_between_drains_is_recovered(pools_built, fresh_trace_cache):
+    report = RunReport()
+    executor, delivered = local_executor(report=report)
+    try:
+        drain_one(executor, WARM)
+        pool = executor._pool
+        victim = next(iter(pool._processes.values()))
+        os.kill(victim.pid, signal.SIGKILL)
+        deadline = time.monotonic() + 10
+        while not pool._broken and time.monotonic() < deadline:
+            time.sleep(0.01)
+        again = WARM.replace(scheme="dsr")
+        drain_one(executor, again)
+    finally:
+        executor.close()
+    assert report.pool_deaths == 1
+    assert len(pools_built) == 2
+    for spec in (WARM, again):
+        assert result_digest(delivered[spec]) == result_digest(simulate_spec(spec))
+
+
+def test_watchdog_rearms_on_a_reused_pool(pools_built, fresh_trace_cache):
+    hung = WARM.replace(scheme="dsr")
+    report = RunReport()
+    executor, delivered = local_executor(
+        report=report,
+        hang_grace=0.3,
+        fault_plan=FaultPlan({hung: Fault("hang", seconds=60.0)}),
+    )
+    try:
+        drain_one(executor, WARM)
+        assert len(pools_built) == 1
+        started = time.monotonic()
+        drain_one(executor, hung)  # runs on the reused pool
+        assert time.monotonic() - started < 30
+    finally:
+        executor.close()
+    assert report.watchdog_kills == 1
+    assert len(pools_built) == 2  # the reused pool, then its respawn
+    assert report.record(hung).status == "ok"
+    assert result_digest(delivered[hung]) == result_digest(simulate_spec(hung))
+
+
+@pytest.mark.parametrize("drain", [True, False])
+def test_closed_scheduler_leaves_no_worker(drain):
+    before = set(multiprocessing.active_children())
+    scheduler = BatchScheduler(jobs=2)
+    try:
+        assert scheduler.submit(WARM).result(timeout=120).scheme == "avgcc"
+    finally:
+        scheduler.close(drain=drain)
+    assert not set(multiprocessing.active_children()) - before
